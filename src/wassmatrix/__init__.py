@@ -16,7 +16,7 @@ from .classify import (
     split_train_test,
     stability_experiment,
 )
-from .embedding import Embedding, choose_dimension, mds
+from .embedding import Embedding, Spectrum, choose_dimension, mds, spectrum
 from .matrixio import DistanceMatrix, MatrixKind, relative_error
 from .matrixio import load as load_matrix
 from .matrixio import save as save_matrix
@@ -33,7 +33,13 @@ from .measures import (
     synth_translation_family,
     synthetic_dataset,
 )
-from .nystrom import ColumnBlock, complete_nystrom, incoherence, procrustes_distance
+from .nystrom import (
+    ColumnBlock,
+    NystromFactor,
+    complete_nystrom,
+    incoherence,
+    procrustes_distance,
+)
 from .ot import (
     Coupling,
     cost_matrix,
@@ -59,7 +65,9 @@ __all__ = [
     "MatrixKind",
     "McConfig",
     "MeasureDataset",
+    "NystromFactor",
     "SamplePlan",
+    "Spectrum",
     "SplitPlan",
     "StabilityConfig",
     "apply_A",
@@ -84,6 +92,7 @@ __all__ = [
     "sample_entries",
     "save_dataset",
     "save_matrix",
+    "spectrum",
     "split_train_test",
     "stability_experiment",
     "synth_dilation_family",

@@ -12,6 +12,13 @@ The full squared-distance matrix is computed once per experiment and
 sampled column blocks are extracted from it; since every entry is a
 deterministic function of two measures this is numerically identical to
 recomputing each sampled column from scratch.
+
+Trials embed the Nystrom factor directly, in O(N c^2) per trial: a thin
+QR of the centred columns and one c x c eigenproblem give the spectrum
+of B, and no N x N matrix is built.  The factored route embeds the raw
+product C U^+ C^T, the paper's estimator, not the sanitised matrix that
+``complete_nystrom`` returns; the two agree to round-off whenever
+rank(U) = rank(D).
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .embedding import choose_dimension, mds
+from .embedding import choose_dimension, mds, spectrum
 from .errors import DegenerateClasses, EmptyTrainSet, InvariantViolation
-from .matrixio import DistanceMatrix
+from .matrixio import DistanceMatrix, freeze
 from .measures import MeasureDataset
-from .nystrom import ColumnBlock, complete_nystrom
+from .nystrom import ColumnBlock, NystromFactor
+from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
 from .ot import w2_matrix
 from .sampling import sample_columns
 from .seeding import derive_seed
@@ -51,10 +59,8 @@ class SplitPlan:
         n = train.size + test.size
         if not np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n)):
             raise InvariantViolation("train and test must partition [N]")
-        train.flags.writeable = False
-        test.flags.writeable = False
-        object.__setattr__(self, "train_indices", train)
-        object.__setattr__(self, "test_indices", test)
+        object.__setattr__(self, "train_indices", freeze(train))
+        object.__setattr__(self, "test_indices", freeze(test))
         object.__setattr__(self, "seed", int(seed))
 
 
@@ -175,12 +181,12 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     n = full.size
     plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
     block = ColumnBlock.from_matrix(full, plan.indices)
-    d_est = complete_nystrom(block, cfg.pinv_tolerance)
+    spec = spectrum(NystromFactor.of(block, cfg.pinv_tolerance))
     if cfg.fixed_dimension is not None:
         dim = min(max(cfg.fixed_dimension, 1), n - 1)
     else:
-        dim = min(choose_dimension(d_est, cfg.energy), n - 1)
-    emb = mds(d_est, dim)
+        dim = min(choose_dimension(spec, cfg.energy), n - 1)
+    emb = mds(spec, dim)
     split = split_train_test(n, cfg.test_fraction, derive_seed(trial_seed, "split"))
     train_x = emb.coords[split.train_indices]
     train_y = labels[split.train_indices]

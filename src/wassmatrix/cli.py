@@ -39,12 +39,12 @@ from .classify import (
     save_summary_json,
     stability_experiment,
 )
-from .embedding import choose_dimension, mds, save_embedding
+from .embedding import choose_dimension, mds, save_embedding, spectrum
 from .errors import ConfigError, NumericalError, UsageError
 from .matrixio import MatrixKind
 from .mc import McConfig, complete_mc
 from .measures import load_dataset, save_dataset, synthetic_dataset
-from .nystrom import ColumnBlock, complete_nystrom
+from .nystrom import ColumnBlock, NystromFactor, complete_nystrom
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
 from .seeding import derive_seed
@@ -300,16 +300,14 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
             _require(matrix.kind is MatrixKind.FULL,
                      f"no column plan found at {plan_path}")
             indices = np.arange(matrix.size)
-        block = ColumnBlock.from_matrix(matrix, indices)
-        estimate = complete_nystrom(block, cfg.pinv_tolerance,
-                                    cfg.reimpose_observed)
-        core_sigma = np.linalg.svd(block.core, compute_uv=False)
-        effective_rank = int(np.sum(
-            core_sigma > cfg.pinv_tolerance * core_sigma[0])) if core_sigma.size else 0
+        factor = NystromFactor.of(ColumnBlock.from_matrix(matrix, indices),
+                                  cfg.pinv_tolerance)
+        estimate = complete_nystrom(factor,
+                                    reimpose_observed=cfg.reimpose_observed)
         report_obj = {
-            "columns": int(block.count),
+            "columns": int(factor.indices.size),
             "pinv_tolerance": cfg.pinv_tolerance,
-            "core_effective_rank": effective_rank,
+            "core_effective_rank": factor.effective_rank,
             "reimpose_observed": cfg.reimpose_observed,
         }
     matrixio.save(estimate, out.with_suffix(".w2m"))
@@ -333,9 +331,10 @@ def cmd_embed(cfg: ExperimentConfig) -> int:
         _require(labels is not None, f"{cfg.labels_from} has no labels.csv")
         _require(len(labels) == matrix.size,
                  "label count does not match matrix size")
-    dim = cfg.dim if cfg.dim is not None else choose_dimension(matrix, cfg.energy)
+    spec = spectrum(matrix)
+    dim = cfg.dim if cfg.dim is not None else choose_dimension(spec, cfg.energy)
     dim = min(max(dim, 1), matrix.size - 1)
-    emb = mds(matrix, dim)
+    emb = mds(spec, dim)
     out = Path(cfg.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,10 @@ Negative eigenvalues (possible for estimated, non-Euclidean inputs)
 contribute zero coordinates and are reported as negative tail mass
 rather than producing imaginary axes.  A fixed sign convention (first
 nonzero eigenvector entry positive) makes output deterministic.
+
+Each input is decomposed once: :func:`spectrum` produces the eigenpairs
+(densely, or from a Nystrom factor in O(N c^2)), and both
+:func:`choose_dimension` and :func:`mds` read them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 
 from .errors import DimensionOutOfRange
 from .matrixio import DistanceMatrix
+from .nystrom import NystromFactor
 
 _SIGN_TOL = 1e-12
 
@@ -67,22 +72,72 @@ class Embedding:
         }
 
 
-def mds(matrix: DistanceMatrix, d: int) -> Embedding:
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenpairs of B in descending algebraic order, from one decomposition.
+
+    ``eigenvectors`` holds one column per stored eigenvalue.  A spectrum
+    of an N x N matrix may store fewer than N eigenpairs; the ones it
+    omits are zero.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    size: int
+
+    def top(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """The d algebraically largest eigenpairs.  Omitted zero
+        eigenvalues rank between the stored positive and negative ones
+        and come with zero vectors (their coordinates are zero anyway)."""
+        vals, vecs = self.eigenvalues, self.eigenvectors
+        split = int(np.count_nonzero(vals >= 0.0))
+        head = min(d, split)
+        pad = min(d - head, self.size - vals.size)
+        rest = slice(split, split + d - head - pad)
+        return (np.concatenate([vals[:head], np.zeros(pad), vals[rest]]),
+                np.hstack([vecs[:, :head], np.zeros((self.size, pad)), vecs[:, rest]]))
+
+
+def _descending(evals: np.ndarray, evecs: np.ndarray, n: int) -> Spectrum:
+    order = np.argsort(evals)[::-1]
+    return Spectrum(evals[order], evecs[:, order], n)
+
+
+def spectrum(source: DistanceMatrix | NystromFactor | Spectrum) -> Spectrum:
+    """The spectrum of B = -1/2 H D H, decomposed once.
+
+    A :class:`DistanceMatrix` takes one dense ``eigh`` of B.  A
+    :class:`NystromFactor` (D = C W C^T) takes the O(N c^2) route: with
+    the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
+    eigenproblem gives every nonzero eigenvalue and Q lifts its vectors.
+    A :class:`Spectrum` is returned as is.
+    """
+    if isinstance(source, Spectrum):
+        return source
+    if isinstance(source, NystromFactor):
+        columns = source.columns
+        q, r = np.linalg.qr(columns - columns.mean(axis=0))
+        small = -0.5 * (r @ source.core_pinv @ r.T)
+        evals, y = np.linalg.eigh(0.5 * (small + small.T))
+        return _descending(evals, q @ y, source.size)
+    evals, evecs = np.linalg.eigh(double_center(source.values))
+    return _descending(evals, evecs, source.size)
+
+
+def mds(source: DistanceMatrix | NystromFactor | Spectrum, d: int) -> Embedding:
     """Embed a squared-distance matrix into R^d by classical MDS.
 
     Coordinate column k is v_k * sqrt(max(lambda_k, 0)) for the d
     algebraically largest eigenpairs of the double-centered matrix.
+    ``source`` is anything :func:`spectrum` accepts.
     """
-    n = matrix.size
+    spec = spectrum(source)
+    n = spec.size
     if not 1 <= d <= n - 1:
         raise DimensionOutOfRange(f"need 1 <= d <= {n - 1}, got {d}")
-    B = double_center(matrix.values)
-    evals, evecs = np.linalg.eigh(B)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = _fix_signs(evecs[:, order])
-    retained = evals[:d]
-    coords = evecs[:, :d] * np.sqrt(np.maximum(retained, 0.0))
+    retained, vectors = spec.top(d)
+    coords = _fix_signs(vectors) * np.sqrt(np.maximum(retained, 0.0))
+    evals = spec.eigenvalues
     total = float(np.abs(evals).sum())
     energy = float(np.abs(retained).sum() / total) if total > 0 else 1.0
     negative = float(np.abs(evals[evals < 0]).sum() / total) if total > 0 else 0.0
@@ -91,19 +146,22 @@ def mds(matrix: DistanceMatrix, d: int) -> Embedding:
                      dimension=d)
 
 
-def choose_dimension(matrix: DistanceMatrix, energy: float) -> int:
+def choose_dimension(source: DistanceMatrix | NystromFactor | Spectrum,
+                     energy: float) -> int:
     """Smallest d whose top-d singular values of B reach ``energy`` of
-    the total singular-value sum."""
+    the total singular-value sum.  B is symmetric, so its singular
+    values are the |lambda| of :func:`spectrum` (and zero beyond it)."""
     if not 0.0 < energy < 1.0:
         raise ValueError(f"energy must lie in (0, 1), got {energy}")
-    B = double_center(matrix.values)
-    sigma = np.linalg.svd(B, compute_uv=False)
+    spec = spectrum(source)
+    sigma = np.sort(np.abs(spec.eigenvalues))[::-1]
     total = sigma.sum()
     if total <= 0.0:
         return 1
     fractions = np.cumsum(sigma) / total
-    # cumsum/total can fall an ulp short of 1 at the end; cap at N
-    return int(min(np.searchsorted(fractions, energy) + 1, matrix.size))
+    # cumsum/total can fall an ulp short of 1 at the end; then all N are needed
+    k = int(np.searchsorted(fractions, energy))
+    return k + 1 if k < sigma.size else spec.size
 
 
 def squared_distances_of(coords: np.ndarray) -> np.ndarray:

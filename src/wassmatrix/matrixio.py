@@ -32,7 +32,8 @@ class MatrixKind(enum.Enum):
     ESTIMATED = 2
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it (for frozen dataclass fields)."""
     a.flags.writeable = False
     return a
 
@@ -67,8 +68,8 @@ class DistanceMatrix:
             raise InvariantViolation(f"{kind.name} matrices need an all-true mask")
         if kind is not MatrixKind.ESTIMATED and np.any(values[mask] < 0):
             raise InvariantViolation("observed squared distances must be >= 0")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "mask", _freeze(mask))
+        object.__setattr__(self, "values", freeze(values))
+        object.__setattr__(self, "mask", freeze(mask))
         object.__setattr__(self, "kind", kind)
 
     # --- constructors -------------------------------------------------------

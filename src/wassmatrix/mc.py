@@ -39,9 +39,9 @@ from .errors import (
     IndexOutOfRange,
     InvariantViolation,
 )
-from .matrixio import DistanceMatrix
+from .matrixio import DistanceMatrix, freeze
 
-_CENTER_TOL = 1e-8
+CENTER_TOL = 1e-8  # largest column sum/mean accepted as centred
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,9 @@ class GramFactor:
         factor = np.asarray(factor, dtype=np.float64)
         if factor.ndim != 2:
             raise InvariantViolation("factor must be an (N, q) array")
-        if np.abs(factor.sum(axis=0)).max() > _CENTER_TOL:
+        if np.abs(factor.sum(axis=0)).max() > CENTER_TOL:
             raise InvariantViolation("factor column sums are not zero")
-        factor = factor.copy()
-        factor.flags.writeable = False
-        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "factor", freeze(factor.copy()))
         object.__setattr__(self, "rank_estimate", factor.shape[1])
 
     def gram(self) -> np.ndarray:

@@ -26,13 +26,9 @@ from .errors import (
     InvariantViolation,
     NonpositiveScale,
 )
+from .matrixio import freeze
 
 _WEIGHT_TOL = 1e-12
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,8 @@ class DiscreteMeasure:
         w = w / w.sum()
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise InvariantViolation("weights failed to normalize")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "points", freeze(pts))
+        object.__setattr__(self, "weights", freeze(w))
 
     @property
     def num_atoms(self) -> int:

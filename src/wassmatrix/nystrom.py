@@ -8,6 +8,10 @@ product reproduces D exactly; the estimate is sanitized afterwards
 distance-matrix invariants.  Sampled rows/columns are NOT re-imposed on
 the output by default; the product already is the estimate.
 
+:class:`NystromFactor` keeps the estimate as its factors C and U^+,
+built by the one SVD of the core; ``embedding.spectrum`` embeds it
+directly in O(N c^2) without forming the N x N product.
+
 Also here: the incoherence diagnostic of the top-r singular subspace
 and the Procrustes alignment distance used to compare embeddings.
 """
@@ -27,14 +31,8 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .matrixio import DistanceMatrix, MatrixKind
-
-_CENTER_TOL = 1e-8
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+from .matrixio import DistanceMatrix, MatrixKind, freeze
+from .mc import CENTER_TOL
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,9 @@ class ColumnBlock:
             raise InvariantViolation("core must be symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
-        object.__setattr__(self, "columns", _freeze(columns))
-        object.__setattr__(self, "indices", _freeze(indices))
-        object.__setattr__(self, "core", _freeze(np.array(core)))
+        object.__setattr__(self, "columns", freeze(columns))
+        object.__setattr__(self, "indices", freeze(indices))
+        object.__setattr__(self, "core", freeze(np.array(core)))
 
     @property
     def size(self) -> int:
@@ -96,15 +94,20 @@ class ColumnBlock:
         return ColumnBlock(matrix.values[:, indices], indices)
 
 
+def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
+    """Truncated pseudoinverse, singular values and effective rank of one SVD."""
+    u, s, vt = np.linalg.svd(matrix)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros_like(matrix.T), s, 0
+    keep = s > rel_tolerance * s[0]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return (vt.T * inv) @ u.T, s, int(keep.sum())
+
+
 def truncated_pinv(matrix: np.ndarray, rel_tolerance: float) -> np.ndarray:
     """Moore-Penrose pseudoinverse with singular values below
     ``rel_tolerance * sigma_max`` truncated to zero."""
-    u, s, vt = np.linalg.svd(matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(matrix.T)
-    keep = s > rel_tolerance * s[0]
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+    return _truncated_svd_pinv(matrix, rel_tolerance)[0]
 
 
 def nystrom_product(columns: np.ndarray, core: np.ndarray,
@@ -113,21 +116,57 @@ def nystrom_product(columns: np.ndarray, core: np.ndarray,
     return columns @ truncated_pinv(core, pinv_tolerance) @ columns.T
 
 
-def complete_nystrom(block: ColumnBlock, pinv_tolerance: float = 1e-10,
+@dataclass(frozen=True)
+class NystromFactor:
+    """The rank-<=c estimate C U^+ C^T kept as its factors.
+
+    Built by the one SVD of the core U: ``core_pinv`` is the truncated
+    pseudoinverse W = U^+, ``core_singular_values`` the core's spectrum
+    and ``effective_rank`` the number of singular values W keeps.
+    """
+
+    columns: np.ndarray
+    indices: np.ndarray
+    core_pinv: np.ndarray
+    core_singular_values: np.ndarray
+    effective_rank: int
+
+    @staticmethod
+    def of(block: ColumnBlock, pinv_tolerance: float = 1e-10) -> "NystromFactor":
+        if not np.any(block.core) and np.any(block.columns):
+            raise DegenerateCore("core block is identically zero")
+        pinv, sigma, rank = _truncated_svd_pinv(block.core, pinv_tolerance)
+        return NystromFactor(block.columns, block.indices, freeze(pinv),
+                             freeze(sigma), rank)
+
+    @property
+    def size(self) -> int:
+        return self.columns.shape[0]
+
+    def product(self) -> np.ndarray:
+        """Dense N x N product (C W) C^T, unsanitized."""
+        return (self.columns @ self.core_pinv) @ self.columns.T
+
+
+def complete_nystrom(block: ColumnBlock | NystromFactor,
+                     pinv_tolerance: float = 1e-10,
                      reimpose_observed: bool = False) -> DistanceMatrix:
     """Complete a distance matrix from a column block.
 
-    ``reimpose_observed`` overwrites the sampled rows/columns of the
-    product with the computed values afterwards; off by default since
-    the plain product is the estimator (and re-imposition breaks the
-    symmetric factorization that makes exact recovery provable).
+    A :class:`NystromFactor` already built from the block may be passed
+    instead, so its core is not decomposed again (``pinv_tolerance`` is
+    then the factor's own).  ``reimpose_observed`` overwrites the sampled
+    rows/columns of the product with the computed values afterwards; off
+    by default since the plain product is the estimator (and
+    re-imposition breaks the symmetric factorization that makes exact
+    recovery provable).
     """
-    if not np.any(block.core) and np.any(block.columns):
-        raise DegenerateCore("core block is identically zero")
-    d_est = nystrom_product(block.columns, block.core, pinv_tolerance)
+    factor = (block if isinstance(block, NystromFactor)
+              else NystromFactor.of(block, pinv_tolerance))
+    d_est = factor.product()
     if reimpose_observed:
-        d_est[:, block.indices] = block.columns
-        d_est[block.indices, :] = block.columns.T
+        d_est[:, factor.indices] = factor.columns
+        d_est[factor.indices, :] = factor.columns.T
     d_est = 0.5 * (d_est + d_est.T)
     np.fill_diagonal(d_est, 0.0)
     np.maximum(d_est, 0.0, out=d_est)
@@ -161,8 +200,8 @@ def procrustes_distance(Z: np.ndarray, Y: np.ndarray) -> float:
     Y = np.asarray(Y, dtype=np.float64)
     if Z.shape != Y.shape or Z.ndim != 2:
         raise ShapeMismatch(f"configurations differ: {Z.shape} vs {Y.shape}")
-    if (np.abs(Z.mean(axis=0)).max() > _CENTER_TOL
-            or np.abs(Y.mean(axis=0)).max() > _CENTER_TOL):
+    if (np.abs(Z.mean(axis=0)).max() > CENTER_TOL
+            or np.abs(Y.mean(axis=0)).max() > CENTER_TOL):
         raise NotCentered("both configurations must have zero column means")
     d = Z.shape[1]
     u, _, vt = np.linalg.svd(Y.T @ Z)

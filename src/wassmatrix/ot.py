@@ -120,10 +120,10 @@ def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure,
     (which optimal vertex is returned is solver-dependent; only the
     value is contracted).
     """
-    cost = cost_matrix(mu, nu)
-    m, n = cost.shape
     if not return_plan:
         return _w2_from_arrays(mu.points, mu.weights, nu.points, nu.weights)
+    cost = cost_matrix(mu, nu)
+    m, n = cost.shape
     if m == n and mu.is_uniform() and nu.is_uniform():
         rows, cols = linear_sum_assignment(cost)
         plan = np.zeros((m, n))

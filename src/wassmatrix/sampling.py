@@ -22,14 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CountOutOfRange, EmptyPlan, FormatError, InvariantViolation
+from .matrixio import freeze
 
 ENTRIES = "entries"
 COLUMNS = "columns"
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class SamplePlan:
             if np.unique(idx).size != idx.size:
                 raise InvariantViolation("duplicate column indices")
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "indices", _freeze(idx))
+        object.__setattr__(self, "indices", freeze(idx))
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "size", int(size))
 

@@ -1,19 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from wassmatrix import (
+    ColumnBlock,
     StabilityConfig,
     choose_dimension,
+    complete_nystrom,
     derive_seed,
     knn1_classify,
     lda_classify,
     mds,
+    sample_columns,
     split_train_test,
     stability_experiment,
     synthetic_dataset,
     w2_matrix,
 )
 from wassmatrix.classify import (
+    CLASSIFIERS,
     AccuracyReport,
     run_trial,
     save_reports_csv,
@@ -201,6 +207,43 @@ class TestStabilityExperiment:
         a = run_trial(full, labels, 9, 123, cfg)
         b = run_trial(full, labels, 9, 123, cfg)
         assert a == b
+
+
+def dense_trial(full, labels, c, trial_seed, cfg):
+    """run_trial through the dense route: the sanitised N x N Nystrom
+    estimate, decomposed by choose_dimension and again by mds."""
+    n = full.size
+    plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
+    d_est = complete_nystrom(ColumnBlock.from_matrix(full, plan.indices),
+                             cfg.pinv_tolerance)
+    emb = mds(d_est, min(choose_dimension(d_est, cfg.energy), n - 1))
+    split = split_train_test(n, cfg.test_fraction, derive_seed(trial_seed, "split"))
+    return {name: float(np.mean(
+        CLASSIFIERS[name](emb.coords[split.train_indices],
+                          labels[split.train_indices],
+                          emb.coords[split.test_indices])
+        == labels[split.test_indices])) for name in cfg.classifiers}
+
+
+class TestFactoredTrial:
+    def test_accuracies_equal_dense_route(self, small):
+        data, full = small
+        labels = np.asarray(data.labels)
+        cfg = StabilityConfig(seed=51)
+        for fraction in (0.2, 1.0):
+            c = math.ceil(fraction * full.size)
+            for t in range(5):
+                trial_seed = derive_seed(51, "stability", repr(fraction), t)
+                assert (run_trial(full, labels, c, trial_seed, cfg)
+                        == dense_trial(full, labels, c, trial_seed, cfg))
+
+    def test_fixed_dimension_beyond_columns(self, small):
+        data, full = small
+        labels = np.asarray(data.labels)
+        cfg = StabilityConfig(fixed_dimension=30, seed=52)
+        result = run_trial(full, labels, 9, 7, cfg)
+        assert set(result) == {"knn1", "lda"}
+        assert all(0.0 <= acc <= 1.0 for acc in result.values())
 
 
 class TestReportFiles:

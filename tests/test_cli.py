@@ -113,6 +113,22 @@ class TestComplete:
         report = json.loads((tmp_path / "est.report.json").read_text())
         assert report["columns"] == 8
 
+    def test_nystrom_report_core_rank(self, pipeline_dirs, capsys):
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--columns", 8, "--seed", 6,
+            "--out", tmp_path / "cols6")
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols6.w2m",
+                   "--out", tmp_path / "est6") == 0
+        report = json.loads((tmp_path / "est6.report.json").read_text())
+        cols = json.loads((tmp_path / "cols6.plan.json").read_text())["indices"]
+        core = load(tmp_path / "cols6.w2m").values[np.ix_(cols, cols)]
+        sigma = np.linalg.svd(core, compute_uv=False)
+        assert report["columns"] == 8
+        assert report["core_effective_rank"] == int(
+            np.sum(sigma > report["pinv_tolerance"] * sigma[0]))
+        assert report["core_effective_rank"] == 4  # planar translations
+
     def test_mc_round_trip(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--rate", 0.6, "--seed", 5,

@@ -2,8 +2,23 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from wassmatrix import DistanceMatrix, choose_dimension, mds, procrustes_distance
+from wassmatrix import (
+    ColumnBlock,
+    DistanceMatrix,
+    NystromFactor,
+    Spectrum,
+    choose_dimension,
+    complete_nystrom,
+    derive_seed,
+    mds,
+    procrustes_distance,
+    sample_columns,
+    spectrum,
+    synthetic_dataset,
+    w2_matrix,
+)
 from wassmatrix.embedding import (
     double_center,
     load_embedding_coords,
@@ -18,6 +33,24 @@ def edm_of(points):
     d = (diff ** 2).sum(-1)
     np.fill_diagonal(d, 0.0)
     return 0.5 * (d + d.T)
+
+
+def non_euclidean(n, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.abs(rng.normal(size=(n, n))) + 1.0
+    vals = vals + vals.T
+    np.fill_diagonal(vals, 0.0)
+    return vals
+
+
+def svd_oracle_dimension(values, energy):
+    sigma = scipy.linalg.svd(double_center(values), compute_uv=False)
+    prefix = np.cumsum(sigma) / sigma.sum()
+    return int(np.searchsorted(prefix, energy) + 1)
+
+
+def assert_close(a, b, scale):
+    assert np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-9 * scale
 
 
 class TestMds:
@@ -163,3 +196,99 @@ class TestEmbeddingFiles:
         assert meta["dimension"] == 2
         assert 0.0 <= meta["negative_tail_mass"] <= 1.0
         assert meta["eigenvalues"] == [float(v) for v in emb.eigenvalues]
+
+
+@pytest.fixture(scope="module")
+def rank5_blocks():
+    """Column blocks of noiseless rank-5 squared-distance matrices: 200
+    points in R^3 with 20 columns, and classes3:rand300 with 60."""
+    blocks = []
+    for trial in range(3):
+        rng = np.random.default_rng(3000 + trial)
+        full = DistanceMatrix.full(edm_of(rng.standard_normal((200, 3))))
+        plan = sample_columns(200, 20, seed=derive_seed(3, "cols", trial))
+        blocks.append(ColumnBlock.from_matrix(full, plan.indices))
+    full = w2_matrix(synthetic_dataset("classes3:rand300", 7))
+    for trial in range(2):
+        plan = sample_columns(300, 60, seed=derive_seed(7, "cols", trial))
+        blocks.append(ColumnBlock.from_matrix(full, plan.indices))
+    return blocks
+
+
+class TestFactoredSpectrum:
+    def test_agrees_with_dense_route_on_rank5_fixtures(self, rank5_blocks):
+        for block in rank5_blocks:
+            factored = spectrum(NystromFactor.of(block))
+            dense = spectrum(complete_nystrom(block))
+            assert factored.eigenvalues.size == block.count
+            assert dense.eigenvalues.size == block.size
+            for energy in (0.5, 0.9, 0.97, 0.999):
+                assert (choose_dimension(factored, energy)
+                        == choose_dimension(dense, energy))
+            d = choose_dimension(dense, 0.97)
+            assert d == 3
+            ef, ed = mds(factored, d), mds(dense, d)
+            assert_close(ef.eigenvalues, ed.eigenvalues, ed.eigenvalues[0])
+            assert abs(ef.spectrum_energy - ed.spectrum_energy) <= 1e-9
+            assert abs(ef.negative_tail_mass - ed.negative_tail_mass) <= 1e-9
+            assert_close(ef.coords, ed.coords, np.abs(ed.coords).max())
+
+    def test_dimension_beyond_columns_gives_zero_columns(self, rank5_blocks):
+        block = rank5_blocks[0]
+        emb = mds(spectrum(NystromFactor.of(block)), 2 * block.count)
+        assert emb.coords.shape == (block.size, 2 * block.count)
+        np.testing.assert_array_equal(emb.coords[:, block.count:], 0.0)
+        top = np.abs(emb.coords[:, :3]).max()
+        assert np.abs(emb.coords[:, 3:]).max() <= 1e-6 * top  # rank of B is 3
+
+    def test_spectrum_passes_through(self, rank5_blocks):
+        spec = spectrum(NystromFactor.of(rank5_blocks[0]))
+        assert spectrum(spec) is spec
+
+    def test_rounding_short_of_energy_needs_all_n(self):
+        # 20 stored eigenvalues of an N=50 spectrum whose cumulative
+        # fraction rounds to just below 1: as on the dense route, only
+        # all N dimensions reach an energy above it
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            lam = np.sort(rng.random(20))[::-1]
+        assert (np.cumsum(lam) / lam.sum())[-1] < 1.0
+        spec = Spectrum(lam, np.zeros((50, 20)), 50)
+        assert choose_dimension(spec, np.nextafter(1.0, 0.0)) == 50
+
+    def test_non_euclidean_dense_matches_svd_oracle(self):
+        vals = non_euclidean(30, 63)
+        lam = np.linalg.eigvalsh(double_center(vals))
+        # a negative eigenvalue outweighs a positive one, so ordering by
+        # |lambda| differs from the algebraic order
+        assert np.abs(lam[lam < 0]).max() > lam[lam > 0].min()
+        matrix = DistanceMatrix.estimated(vals)
+        chosen = [choose_dimension(matrix, e) for e in (0.3, 0.5, 0.8, 0.95)]
+        assert chosen == [svd_oracle_dimension(vals, e)
+                          for e in (0.3, 0.5, 0.8, 0.95)]
+        assert len(set(chosen)) > 1
+
+    def test_non_euclidean_factor_matches_dense_oracles(self):
+        n = 40
+        block = ColumnBlock.from_matrix(
+            DistanceMatrix.estimated(non_euclidean(n, 64)), np.arange(20))
+        factor = NystromFactor.of(block)
+        raw = factor.product()  # the matrix the factored route embeds
+        spec = spectrum(factor)
+        lam = np.sort(np.linalg.eigvalsh(double_center(0.5 * (raw + raw.T))))[::-1]
+        scale = np.abs(lam).max()
+        assert np.abs(lam[lam < 0]).max() > lam[lam > 1e-9 * scale].min()
+        energies = (0.3, 0.5, 0.8, 0.95)
+        chosen = [choose_dimension(spec, e) for e in energies]
+        assert chosen == [svd_oracle_dimension(raw, e) for e in energies]
+        assert len(set(chosen)) > 1
+        # the omitted zero eigenvalues rank between positive and negative ones
+        positive = int(np.sum(spec.eigenvalues > 0))
+        total = np.abs(lam).sum()
+        for d in (positive, positive + 3, n - 1):
+            emb = mds(spec, d)
+            assert_close(emb.eigenvalues, lam[:d], scale)
+            assert abs(emb.spectrum_energy
+                       - np.abs(lam[:d]).sum() / total) <= 1e-9
+            assert abs(emb.negative_tail_mass
+                       - np.abs(lam[lam < 0]).sum() / total) <= 1e-9

@@ -4,6 +4,7 @@ import pytest
 from wassmatrix import (
     ColumnBlock,
     DistanceMatrix,
+    NystromFactor,
     complete_nystrom,
     incoherence,
     mds,
@@ -72,6 +73,52 @@ class TestTruncatedPinv:
         a = np.diag([1.0, 1e-14])
         p = truncated_pinv(a, 1e-10)
         np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
+
+
+class TestNystromFactor:
+    def noisy_block(self, seed, idx):
+        rng = np.random.default_rng(seed)
+        vals = edm_of(rng.normal(size=(14, 3)))
+        vals = vals + 0.05 * np.abs(rng.normal(size=(14, 14)))
+        vals = 0.5 * (vals + vals.T)
+        np.fill_diagonal(vals, 0.0)
+        return ColumnBlock.from_matrix(DistanceMatrix.full(vals), idx)
+
+    def test_one_svd_gives_pinv_spectrum_and_rank(self):
+        block = self.noisy_block(26, [0, 3, 5, 9, 12])
+        factor = NystromFactor.of(block, 1e-10)
+        np.testing.assert_array_equal(factor.core_pinv,
+                                      truncated_pinv(block.core, 1e-10))
+        sigma = np.linalg.svd(block.core, compute_uv=False)
+        np.testing.assert_allclose(factor.core_singular_values, sigma,
+                                   rtol=1e-12)
+        assert factor.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
+        np.testing.assert_array_equal(factor.product(), nystrom_product(
+            block.columns, block.core, 1e-10))
+
+    def test_truncation_sets_effective_rank(self):
+        rng = np.random.default_rng(27)
+        full = DistanceMatrix.full(edm_of(rng.normal(size=(20, 2))))
+        factor = NystromFactor.of(ColumnBlock.from_matrix(full, np.arange(8)))
+        assert factor.effective_rank == 4  # rank of a planar EDM
+
+    def test_completing_a_factor_equals_completing_its_block(self):
+        block = self.noisy_block(28, [1, 4, 7, 10])
+        factor = NystromFactor.of(block)
+        for reimpose in (False, True):
+            a = complete_nystrom(block, reimpose_observed=reimpose)
+            b = complete_nystrom(factor, reimpose_observed=reimpose)
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_degenerate_core(self):
+        block = ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0])
+        with pytest.raises(DegenerateCore):
+            NystromFactor.of(block)
+
+    def test_factors_are_read_only(self):
+        factor = NystromFactor.of(self.noisy_block(29, [2, 6, 11]))
+        with pytest.raises(ValueError):
+            factor.core_pinv[0, 0] = 1.0
 
 
 class TestCompleteNystrom:
