@@ -13,9 +13,10 @@ Subcommands compose the library into reproducible pipelines::
 Every command is deterministic given its configuration and seed; all
 stage randomness derives from the single ``--seed`` by stage-name
 hashing, and each command writes a manifest with enough to re-run it
-bit-identically.  Exit codes: 0 success, 1 usage/configuration error,
-2 numerical failure.  ``WASSMATRIX_WORKERS`` sets the default worker
-count for distance-matrix assembly.
+bit-identically; output files append suffixes to the ``--out`` base.
+Exit codes: 0 success (MC stopped at its iteration cap warns on stderr),
+1 usage/configuration error, 2 numerical failure.  ``WASSMATRIX_WORKERS``
+sets the default worker count for distance-matrix assembly.
 """
 
 from __future__ import annotations
@@ -183,6 +184,13 @@ def _load_source_dataset(cfg: ExperimentConfig):
     return synthetic_dataset(cfg.synthetic, derive_seed(cfg.seed, "synth"))
 
 
+def _out_path(base: str, suffix: str) -> Path:
+    """``base + suffix`` (a dotted base stays whole), parent dir created."""
+    path = Path(str(base) + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_manifest(path: Path, command: str, cfg: ExperimentConfig,
                     extra: dict, seconds: float) -> None:
     manifest = {
@@ -241,15 +249,12 @@ def _dist_plan(cfg: ExperimentConfig, n: int):
 def cmd_dist(cfg: ExperimentConfig) -> int:
     _require(cfg.out is not None, "--out is required")
     t0 = time.perf_counter()
-    out = Path(cfg.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.n is not None and not cfg.data and not cfg.synthetic:
         # plan-only mode: draw and persist the sample plan without measures
         plan = _dist_plan(cfg, cfg.n)
         _require(plan is not None, "plan-only mode needs --rate or --columns")
-        sampling.save_plan(plan, out.with_suffix(".plan.json"))
-        _write_manifest(out.with_suffix(".manifest.json"), "dist", cfg, {
+        sampling.save_plan(plan, _out_path(cfg.out, ".plan.json"))
+        _write_manifest(_out_path(cfg.out, ".manifest.json"), "dist", cfg, {
             "plan_only": True,
             "size": cfg.n,
             "observed_entries": plan.observed_offdiagonal_entries(),
@@ -261,17 +266,18 @@ def cmd_dist(cfg: ExperimentConfig) -> int:
     n = len(data)
     plan = _dist_plan(cfg, n)
     matrix = w2_matrix(data, plan, cfg.resolved_workers())
-    matrixio.save(matrix, out.with_suffix(".w2m"))
+    w2m = _out_path(cfg.out, ".w2m")
+    matrixio.save(matrix, w2m)
     observed = (n * (n - 1) // 2 if plan is None
                 else plan.observed_offdiagonal_entries())
     extra = {"size": n, "kind": matrix.kind.name, "observed_entries": observed}
     if plan is not None:
-        sampling.save_plan(plan, out.with_suffix(".plan.json"))
+        sampling.save_plan(plan, _out_path(cfg.out, ".plan.json"))
         extra["plan"] = {"variant": plan.variant, "count": plan.count,
                          "seed": plan.seed}
-    _write_manifest(out.with_suffix(".manifest.json"), "dist", cfg, extra,
+    _write_manifest(_out_path(cfg.out, ".manifest.json"), "dist", cfg, extra,
                     time.perf_counter() - t0)
-    print(f"wrote {matrix.kind.name} matrix of size {n} to {out.with_suffix('.w2m')}")
+    print(f"wrote {matrix.kind.name} matrix of size {n} to {w2m}")
     return EXIT_OK
 
 
@@ -282,13 +288,16 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
              "--algorithm must be mc or nystrom")
     t0 = time.perf_counter()
     in_path = Path(cfg.input)
-    out = Path(cfg.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
     matrix = matrixio.load(in_path)
+    extra = {"algorithm": cfg.algorithm}
     if cfg.algorithm == "mc":
         estimate, report = complete_mc(matrix, cfg.mc_config())
         report_obj = report.to_json()
+        extra["converged"] = report.stop_reason != "max_iters"
+        if not extra["converged"]:
+            print(f"wassmatrix: warning: MC did not converge: residual "
+                  f"{report.final_residual:.3g} > {cfg.residual_tolerance:g} "
+                  f"after {report.iterations} steps", file=sys.stderr)
     else:
         plan_path = in_path.with_suffix(".plan.json")
         if plan_path.exists():
@@ -310,13 +319,13 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
             "core_effective_rank": factor.effective_rank,
             "reimpose_observed": cfg.reimpose_observed,
         }
-    matrixio.save(estimate, out.with_suffix(".w2m"))
-    out.with_suffix(".report.json").write_text(
+    w2m = _out_path(cfg.out, ".w2m")
+    matrixio.save(estimate, w2m)
+    _out_path(cfg.out, ".report.json").write_text(
         json.dumps(report_obj, sort_keys=True) + "\n")
-    _write_manifest(out.with_suffix(".manifest.json"), "complete", cfg,
-                    {"algorithm": cfg.algorithm, "size": estimate.size},
-                    time.perf_counter() - t0)
-    print(f"wrote estimated matrix to {out.with_suffix('.w2m')}")
+    _write_manifest(_out_path(cfg.out, ".manifest.json"), "complete", cfg,
+                    {**extra, "size": estimate.size}, time.perf_counter() - t0)
+    print(f"wrote estimated matrix to {w2m}")
     return EXIT_OK
 
 
@@ -335,11 +344,9 @@ def cmd_embed(cfg: ExperimentConfig) -> int:
     dim = cfg.dim if cfg.dim is not None else choose_dimension(spec, cfg.energy)
     dim = min(max(dim, 1), matrix.size - 1)
     emb = mds(spec, dim)
-    out = Path(cfg.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out = _out_path(cfg.out, "")
     save_embedding(emb, out, labels)
-    _write_manifest(Path(str(out) + ".manifest.json"), "embed", cfg,
+    _write_manifest(_out_path(cfg.out, ".manifest.json"), "embed", cfg,
                     {"dimension": emb.dimension,
                      "spectrum_energy": emb.spectrum_energy,
                      "negative_tail_mass": emb.negative_tail_mass},

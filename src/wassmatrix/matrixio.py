@@ -109,6 +109,14 @@ class DistanceMatrix:
         return float(self.mask[iu, ju].mean())
 
 
+def sanitized_estimate(values: np.ndarray) -> DistanceMatrix:
+    """ESTIMATED matrix of raw ``values``: symmetrized, zero diagonal, >= 0."""
+    d = 0.5 * (values + values.T)
+    np.fill_diagonal(d, 0.0)
+    np.maximum(d, 0.0, out=d)
+    return DistanceMatrix.estimated(d)
+
+
 # --- persistence --------------------------------------------------------------
 
 def save(matrix: DistanceMatrix, path) -> None:

@@ -13,22 +13,21 @@ objective
 by alternating blocks of Barzilai-Borwein gradient steps on Q with
 multiplier ascent lambda += damping * (A(QQ^T) - b).  The gradient is
 2 * As(r) Q where r = A(QQ^T) - b + lambda and As is the adjoint of A,
-scattering r_alpha with +1 onto (i,i), (j,j) and -1 onto (i,j), (j,i);
-this is verified against finite differences in the test suite.  The
+scattering r_alpha with +1 onto (i,i), (j,j) and -1 onto (i,j), (j,i).
+One residual kernel and one gradient kernel serve the solver and the
+public ``lagrangian_value``/``lagrangian_gradient`` alike, so the
+finite-difference test checks the gradient the solver runs.  The
 centering constraint Q^T 1 = 0 is maintained by projecting column means
 to zero after every step (the objective is translation invariant, so
 the projection never increases it).
 
 The estimated matrix is read off as the squared row distances of the
-final factor, then sanitized: zero diagonal, symmetrized, and negative
-entries clamped to zero.
+final factor, then sanitized by :func:`matrixio.sanitized_estimate`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .errors import (
     IndexOutOfRange,
     InvariantViolation,
 )
-from .matrixio import DistanceMatrix, freeze
+from .matrixio import DistanceMatrix, freeze, sanitized_estimate
 
 CENTER_TOL = 1e-8  # largest column sum/mean accepted as centred
 
@@ -116,12 +115,6 @@ class GramFactor:
         object.__setattr__(self, "factor", freeze(factor.copy()))
         object.__setattr__(self, "rank_estimate", factor.shape[1])
 
-    def gram(self) -> np.ndarray:
-        return self.factor @ self.factor.T
-
-    def squared_distances(self) -> np.ndarray:
-        return _row_squared_distances(self.factor)
-
 
 @dataclass
 class ConvergenceReport:
@@ -144,9 +137,6 @@ class ConvergenceReport:
             "stop_reason": self.stop_reason,
             "residual_trace": [float(v) for v in trace],
         }
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True) + "\n")
 
 
 # --- sampling operator -----------------------------------------------------------
@@ -173,33 +163,39 @@ def apply_A_adjoint(v: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_squared_distances(Q: np.ndarray) -> np.ndarray:
+def _residual(Q: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """Observed residual A(QQ^T) - b on the pairs (ii, jj)."""
     g = np.einsum("ij,ij->i", Q, Q)
-    d = g[:, None] + g[None, :] - 2.0 * (Q @ Q.T)
-    return d
+    return g[ii] + g[jj] - 2.0 * np.einsum("ij,ij->i", Q[ii], Q[jj]) - b
 
 
-def _apply_A_gram(Q: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    g = np.einsum("ij,ij->i", Q, Q)
-    return g[ii] + g[jj] - 2.0 * np.einsum("ij,ij->i", Q[ii], Q[jj])
+def _scatter_index(ii: np.ndarray, jj: np.ndarray, q: int) -> np.ndarray:
+    """Flat (row, column) targets in an (N, q) array for rows ii then jj."""
+    return (np.concatenate([ii, jj])[:, None] * q + np.arange(q)).ravel()
+
+
+def _gradient(Q: np.ndarray, r: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+              scatter_idx: np.ndarray) -> np.ndarray:
+    """2 * As(r) Q, accumulated through ``_scatter_index(ii, jj, q)``."""
+    n, q = Q.shape
+    t = r[:, None] * (Q[ii] - Q[jj])
+    contrib = np.concatenate([t, -t]).ravel()
+    return 2.0 * np.bincount(scatter_idx, contrib, minlength=n * q).reshape(n, q)
 
 
 def lagrangian_value(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
                      lam: np.ndarray) -> float:
-    r = _apply_A_gram(Q, pairs[:, 0], pairs[:, 1]) - b + lam
+    r = _residual(Q, pairs[:, 0], pairs[:, 1], b) + lam
     return 0.5 * float(r @ r)
 
 
 def lagrangian_gradient(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
                         lam: np.ndarray) -> np.ndarray:
     """Analytic gradient 2 * As(r) Q of the augmented Lagrangian."""
-    n, q = Q.shape
     ii, jj = pairs[:, 0], pairs[:, 1]
-    r = _apply_A_gram(Q, ii, jj) - b + lam
-    t = r[:, None] * (Q[ii] - Q[jj])
-    idx = (np.concatenate([ii, jj])[:, None] * q + np.arange(q)).ravel()
-    contrib = np.concatenate([t, -t]).ravel()
-    return 2.0 * np.bincount(idx, contrib, minlength=n * q).reshape(n, q)
+    r = _residual(Q, ii, jj, b) + lam
+    return _gradient(Q, r, ii, jj, _scatter_index(ii, jj, Q.shape[1]))
 
 
 def bb_step(gradient_current: np.ndarray, gradient_previous: np.ndarray,
@@ -228,7 +224,9 @@ def complete_mc(d_obs: DistanceMatrix,
 
     Runs blocks of ``cfg.inner_steps`` BB steps on the factor, checking
     the relative observed residual ||A(QQ^T) - b|| / ||b|| after each
-    block and updating the multipliers between blocks.  Raises
+    block and updating the multipliers between blocks.  The residual is
+    evaluated once per step, at the new iterate, and that one array feeds
+    the block-end check, the multiplier update and the next gradient.  Raises
     :class:`Diverged` when the block residual is non-finite or grows for
     ``cfg.divergence_patience`` consecutive blocks.
     """
@@ -240,7 +238,7 @@ def complete_mc(d_obs: DistanceMatrix,
     if ii.size == 0:
         raise EmptyPlan("no observed off-diagonal entries to fit")
     b = d_obs.values[ii, jj]
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.linalg.norm(b)) or 1.0  # absolute residual when b = 0
 
     rng = np.random.default_rng(cfg.seed)
     scale = float(np.sqrt(max(b.mean(), 0.0) / q))
@@ -248,33 +246,22 @@ def complete_mc(d_obs: DistanceMatrix,
     Q -= Q.mean(axis=0)
     lam = np.zeros_like(b)
 
-    scatter_idx = (np.concatenate([ii, jj])[:, None] * q + np.arange(q)).ravel()
-
-    def grad(Q: np.ndarray, r: np.ndarray) -> np.ndarray:
-        t = r[:, None] * (Q[ii] - Q[jj])
-        contrib = np.concatenate([t, -t]).ravel()
-        return 2.0 * np.bincount(scatter_idx, contrib, minlength=n * q).reshape(n, q)
-
-    def rel_residual(Q: np.ndarray) -> float:
-        res = float(np.linalg.norm(_apply_A_gram(Q, ii, jj) - b))
-        return res / bnorm if bnorm > 0 else res
-
+    scatter_idx = _scatter_index(ii, jj, q)
     total_steps = 0
     trace: list[float] = []
     stop_reason = "max_iters"
     growth_run = 0
     outer_done = 0
-    current = rel_residual(Q)
+    res = _residual(Q, ii, jj, b)  # always the residual at the current Q
+    current = float(np.linalg.norm(res)) / bnorm
     trace.append(current)
     if current <= cfg.residual_tolerance:
         stop_reason = "converged"
     else:
         for outer in range(cfg.max_outer_iters):
-            Q_prev = None
-            g_prev = None
+            Q_prev = g_prev = None
             for _ in range(cfg.inner_steps):
-                r = _apply_A_gram(Q, ii, jj) - b + lam
-                g = grad(Q, r)
+                g = _gradient(Q, res + lam, ii, jj, scatter_idx)
                 if Q_prev is None:
                     if cfg.initial_step is not None:
                         step = cfg.initial_step
@@ -288,9 +275,10 @@ def complete_mc(d_obs: DistanceMatrix,
                 Q_prev, g_prev = Q, g
                 Q = Q - step * g
                 Q -= Q.mean(axis=0)
+                res = _residual(Q, ii, jj, b)
                 total_steps += 1
             outer_done = outer + 1
-            previous, current = current, rel_residual(Q)
+            previous, current = current, float(np.linalg.norm(res)) / bnorm
             trace.append(current)
             if not np.isfinite(current):
                 raise Diverged(f"residual became non-finite at block {outer_done}")
@@ -302,13 +290,9 @@ def complete_mc(d_obs: DistanceMatrix,
             if current <= cfg.residual_tolerance:
                 stop_reason = "converged"
                 break
-            lam = lam + cfg.multiplier_update_damping * (
-                _apply_A_gram(Q, ii, jj) - b)
+            lam = lam + cfg.multiplier_update_damping * res
 
-    d_est = _row_squared_distances(Q)
-    np.fill_diagonal(d_est, 0.0)
-    d_est = 0.5 * (d_est + d_est.T)
-    np.maximum(d_est, 0.0, out=d_est)
+    sq = np.einsum("ij,ij->i", Q, Q)
     report = ConvergenceReport(
         iterations=total_steps,
         outer_iterations=outer_done,
@@ -317,4 +301,4 @@ def complete_mc(d_obs: DistanceMatrix,
         residual_trace=trace,
         factor=GramFactor(Q),
     )
-    return DistanceMatrix.estimated(d_est), report
+    return sanitized_estimate(sq[:, None] + sq[None, :] - 2.0 * (Q @ Q.T)), report

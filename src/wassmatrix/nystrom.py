@@ -31,7 +31,7 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .matrixio import DistanceMatrix, MatrixKind, freeze
+from .matrixio import DistanceMatrix, MatrixKind, freeze, sanitized_estimate
 from .mc import CENTER_TOL
 
 
@@ -167,10 +167,7 @@ def complete_nystrom(block: ColumnBlock | NystromFactor,
     if reimpose_observed:
         d_est[:, factor.indices] = factor.columns
         d_est[factor.indices, :] = factor.columns.T
-    d_est = 0.5 * (d_est + d_est.T)
-    np.fill_diagonal(d_est, 0.0)
-    np.maximum(d_est, 0.0, out=d_est)
-    return DistanceMatrix.estimated(d_est)
+    return sanitized_estimate(d_est)
 
 
 def incoherence(matrix: DistanceMatrix, r: int) -> float:

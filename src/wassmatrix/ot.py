@@ -183,7 +183,14 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 # --- matrix assembly -----------------------------------------------------------
 
-_POOL_DATA: tuple | None = None
+def _solve_pairs(points: list, weights: list, pairs: np.ndarray) -> np.ndarray:
+    out = np.empty(pairs.shape[0])
+    for k, (i, j) in enumerate(pairs):
+        out[k] = _w2_from_arrays(points[i], weights[i], points[j], weights[j])
+    return out
+
+
+_POOL_DATA: tuple | None = None  # set only inside pool worker processes
 
 
 def _pool_init(points: list, weights: list) -> None:
@@ -192,11 +199,7 @@ def _pool_init(points: list, weights: list) -> None:
 
 
 def _pool_solve(pairs: np.ndarray) -> np.ndarray:
-    points, weights = _POOL_DATA
-    out = np.empty(pairs.shape[0])
-    for k, (i, j) in enumerate(pairs):
-        out[k] = _w2_from_arrays(points[i], weights[i], points[j], weights[j])
-    return out
+    return _solve_pairs(*_POOL_DATA, pairs)
 
 
 def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
@@ -231,8 +234,7 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
     points = [mu.points for mu in data.measures]
     weights = [mu.weights for mu in data.measures]
     if workers == 1 or pairs.shape[0] < 2 * workers:
-        _pool_init(points, weights)
-        vals = _pool_solve(pairs)
+        vals = _solve_pairs(points, weights, pairs)
     else:
         chunks = np.array_split(pairs, workers * 4)
         chunks = [c for c in chunks if c.shape[0]]

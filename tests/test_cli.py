@@ -143,6 +143,61 @@ class TestComplete:
         report = json.loads((tmp_path / "mcest.report.json").read_text())
         assert report["stop_reason"] in ("converged", "max_iters")
 
+    def test_mc_non_convergence_warns(self, pipeline_dirs, capsys):
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--rate", 0.6, "--seed", 5,
+            "--out", tmp_path / "ent")
+        capsys.readouterr()
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "ent.w2m", "--rank-estimate", 4,
+                   "--max-outer-iters", 1, "--out", tmp_path / "cap") == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "warning: MC did not converge" in err
+        report = json.loads((tmp_path / "cap.report.json").read_text())
+        assert report["stop_reason"] == "max_iters"
+        manifest = json.loads((tmp_path / "cap.manifest.json").read_text())
+        assert manifest["converged"] is False
+
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "ent.w2m", "--rank-estimate", 4,
+                   "--residual-tolerance", 10, "--out", tmp_path / "loose") == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "loose.manifest.json").read_text())
+        assert manifest["converged"] is True
+
+    def test_mc_diverged_exits_2(self, pipeline_dirs, capsys, monkeypatch):
+        from wassmatrix import cli
+        from wassmatrix.errors import Diverged
+
+        def diverge(*_args):
+            raise Diverged("residual became non-finite at block 1")
+
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--rate", 0.6, "--seed", 5,
+            "--out", tmp_path / "ent")
+        monkeypatch.setattr(cli, "complete_mc", diverge)
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "ent.w2m",
+                   "--out", tmp_path / "div") == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "div.w2m").exists()
+
+    def test_dotted_out_base_is_kept(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        run("synth", "--spec", "translations:rand12", "--out", data_dir)
+        run_dir = tmp_path / "run"
+        assert run("dist", "--data", data_dir, "--columns", 5, "--seed", 7,
+                   "--out", run_dir / "e0.05") == 0
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", run_dir / "e0.05.w2m",
+                   "--out", run_dir / "est0.05") == 0
+        names = {p.name for p in run_dir.iterdir()}
+        assert {"e0.05.w2m", "e0.05.plan.json", "e0.05.manifest.json",
+                "est0.05.w2m", "est0.05.report.json",
+                "est0.05.manifest.json"} == names
+        assert json.loads((run_dir / "est0.05.report.json").read_text())[
+            "columns"] == 5
+
     def test_nystrom_rejects_entry_plan(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--rate", 0.5, "--seed", 5,

@@ -8,7 +8,7 @@ from wassmatrix.errors import (
     SizeMismatch,
     ZeroTruth,
 )
-from wassmatrix.matrixio import load, save, save_csv
+from wassmatrix.matrixio import load, sanitized_estimate, save, save_csv
 
 
 def random_full(rng, n):
@@ -83,6 +83,21 @@ class TestInvariants:
         assert part.mask[ii, jj].all()
         expected = part.mask[np.triu_indices(6, 1)].sum()
         assert ii.size == expected
+
+
+class TestSanitizedEstimate:
+    def test_same_bits_as_diagonal_first_order(self):
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(9, 9))
+        raw[2, 2] = np.nan
+        est = sanitized_estimate(raw)
+        ref = raw.copy()
+        np.fill_diagonal(ref, 0.0)
+        ref = 0.5 * (ref + ref.T)
+        np.maximum(ref, 0.0, out=ref)
+        assert est.kind is MatrixKind.ESTIMATED
+        assert est.values.tobytes() == ref.tobytes()
+        assert np.isnan(raw[2, 2])  # input left untouched
 
 
 class TestPersistence:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wassmatrix import DistanceMatrix, McConfig, apply_A, bb_step, complete_mc
-from wassmatrix.errors import EmptyPlan, IndexOutOfRange
+from wassmatrix import mc
+from wassmatrix.errors import Diverged, EmptyPlan, IndexOutOfRange
 from wassmatrix.matrixio import MatrixKind
 from wassmatrix.mc import (
     apply_A_adjoint,
@@ -182,11 +183,54 @@ class TestCompleteMc:
         with pytest.raises(EmptyPlan):
             complete_mc(d_obs, McConfig(rank_estimate=2))
 
+    def test_one_residual_per_step(self, monkeypatch):
+        calls = {"residual": 0, "gradient": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(mc, "_residual", counting("residual", mc._residual))
+        monkeypatch.setattr(mc, "_gradient", counting("gradient", mc._gradient))
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(20, 3))
+        d_obs = DistanceMatrix.partial(edm_of(pts), np.ones((20, 20), bool))
+        k, m = 3, 4
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=3, seed=1,
+                                                max_outer_iters=k,
+                                                inner_steps=m))
+        assert report.stop_reason == "max_iters"
+        assert report.iterations == k * m
+        assert calls == {"residual": 1 + k * m, "gradient": k * m}
+
     def test_rank_bounded_by_size(self):
         d_obs = DistanceMatrix.partial(np.zeros((3, 3)),
                                        np.ones((3, 3), bool))
         with pytest.raises(ValueError):
             complete_mc(d_obs, McConfig(rank_estimate=4))
+
+
+class TestDiverged:
+    def d_obs(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(12, 2))
+        return DistanceMatrix.partial(edm_of(pts), np.ones((12, 12), bool))
+
+    def test_non_finite_residual(self):
+        cfg = McConfig(rank_estimate=3, bb_step_bounds=(1e3, 1e3),
+                       initial_step=1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged, match="non-finite"):
+                complete_mc(self.d_obs(), cfg)
+
+    def test_growth_patience(self):
+        cfg = McConfig(rank_estimate=3, bb_step_bounds=(1e-2, 1e-2),
+                       initial_step=1e-2, divergence_patience=1,
+                       inner_steps=1)
+        with pytest.raises(Diverged, match="grew for 1 consecutive"):
+            complete_mc(self.d_obs(), cfg)
 
 
 class TestMcConfig:

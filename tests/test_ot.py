@@ -21,6 +21,7 @@ from wassmatrix.errors import (
     IndexOutOfRange,
     UnsupportedInstance,
 )
+from wassmatrix import ot
 from wassmatrix.measures import two_atom_base
 from wassmatrix.ot import Coupling
 from wassmatrix.sampling import ENTRIES, SamplePlan
@@ -218,6 +219,14 @@ class TestW2Matrix:
         parallel = w2_matrix(data, workers=8)
         assert serial.values.tobytes() == parallel.values.tobytes()
         assert serial.mask.tobytes() == parallel.mask.tobytes()
+
+    def test_serial_assembly_leaves_no_module_state(self, monkeypatch):
+        monkeypatch.setattr(ot, "_POOL_DATA", None)
+        data = synth_translation_family(
+            two_atom_base(), [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)])
+        full = w2_matrix(data, workers=1)
+        assert full.values[0, 2] == pytest.approx(9.0)
+        assert ot._POOL_DATA is None
 
     def test_plan_size_mismatch(self):
         data = synth_translation_family(two_atom_base(),
