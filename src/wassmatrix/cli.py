@@ -15,8 +15,9 @@ stage randomness derives from the single ``--seed`` by stage-name
 hashing, and each command writes a manifest with enough to re-run it
 bit-identically; output files append suffixes to the ``--out`` base.
 Exit codes: 0 success (MC stopped at its iteration cap warns on stderr),
-1 usage/configuration error, 2 numerical failure.  ``WASSMATRIX_WORKERS``
-sets the default worker count for distance-matrix assembly.
+1 usage/configuration error, 2 numerical failure or a crashed worker
+pool.  ``WASSMATRIX_WORKERS`` sets the default worker count for
+distance-matrix assembly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -209,7 +211,7 @@ def cmd_budget(cfg: ExperimentConfig) -> int:
     _require(cfg.rate is not None, "--rate is required")
     c = budget_to_columns(cfg.n, cfg.rate)
     if cfg.out:
-        Path(cfg.out).write_text(json.dumps(
+        _out_path(cfg.out, "").write_text(json.dumps(
             {"n": cfg.n, "rate": cfg.rate, "columns": c}, sort_keys=True) + "\n")
     print(c)
     return EXIT_OK
@@ -362,7 +364,7 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     truth = matrixio.load(cfg.truth)
     err = matrixio.relative_error(estimate, truth)
     if cfg.out:
-        Path(cfg.out).write_text(json.dumps(
+        _out_path(cfg.out, "").write_text(json.dumps(
             {"relative_error": err}, sort_keys=True) + "\n")
     print(repr(err))
     return EXIT_OK
@@ -507,10 +509,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg)
-    except np.linalg.LinAlgError as exc:
-        print(f"wassmatrix: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except NumericalError as exc:
+    except (np.linalg.LinAlgError, NumericalError, BrokenProcessPool) as exc:
         print(f"wassmatrix: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, UsageError, OSError, ValueError) as exc:

@@ -101,13 +101,6 @@ class DistanceMatrix:
         sel = self.mask[iu, ju]
         return iu[sel], ju[sel]
 
-    def observed_fraction(self) -> float:
-        """Fraction of the N(N-1)/2 off-diagonal pairs that are observed."""
-        iu, ju = np.triu_indices(self.size, k=1)
-        if iu.size == 0:
-            return 1.0
-        return float(self.mask[iu, ju].mean())
-
 
 def sanitized_estimate(values: np.ndarray) -> DistanceMatrix:
     """ESTIMATED matrix of raw ``values``: symmetrized, zero diagonal, >= 0."""

@@ -9,8 +9,6 @@ stages stay decorrelated.
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master: int, *stages) -> int:
     """Return a uint64 seed for the stage path ``stages`` under ``master``."""
@@ -21,7 +19,3 @@ def derive_seed(master: int, *stages) -> int:
         h.update(str(stage).encode("utf-8"))
     return int.from_bytes(h.digest()[:8], "little")
 
-
-def rng_for(master: int, *stages) -> np.random.Generator:
-    """A PCG64 generator seeded from :func:`derive_seed`."""
-    return np.random.default_rng(derive_seed(master, *stages))

@@ -30,6 +30,12 @@ class TestBudget:
         assert run("budget", "--n", 2000, "--rate", 0.25, "--out", out) == 0
         assert json.loads(out.read_text())["columns"] == 268
 
+    def test_json_output_creates_parent_dir(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "b.json"
+        assert run("budget", "--n", 100, "--rate", 0.1, "--out", out) == 0
+        assert json.loads(out.read_text())["columns"] == int(
+            capsys.readouterr().out.strip())
+
     def test_missing_args(self, capsys):
         assert run("budget", "--n", 100) == 1
 
@@ -81,6 +87,22 @@ class TestSynthAndDist:
         manifest = json.loads((tmp_path / "plan2000.manifest.json").read_text())
         assert manifest["observed_entries"] == 499750
         assert manifest["plan_only"] is True
+
+    def test_crashed_worker_pool_exits_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+        from wassmatrix import cli
+
+        def crash(*_args):
+            raise BrokenProcessPool("a worker process terminated abruptly")
+
+        monkeypatch.setattr(cli, "w2_matrix", crash)
+        assert run("dist", "--synthetic", "translations:grid2", "--full",
+                   "--workers", 2, "--out", tmp_path / "x") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("wassmatrix: numerical failure:")
+        assert not (tmp_path / "x.w2m").exists()
 
     def test_mode_exclusivity(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -244,6 +266,14 @@ class TestEmbedAndEval:
         assert printed == expected
         assert json.loads((tmp_path / "err.json").read_text())[
             "relative_error"] == expected
+
+    def test_eval_out_creates_parent_dir(self, pipeline_dirs, capsys):
+        tmp_path, _ = pipeline_dirs
+        full = tmp_path / "full.w2m"
+        out = tmp_path / "nodir3" / "x.json"
+        assert run("eval", "--estimate", full, "--truth", full,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["relative_error"] == 0.0
 
     def test_eval_zero_truth_is_numerical_failure(self, tmp_path, capsys):
         zero = DistanceMatrix.full(np.zeros((3, 3)))

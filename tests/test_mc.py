@@ -19,6 +19,17 @@ def edm_of(points):
     return 0.5 * (d + d.T)
 
 
+def adjoint_oracle(v, pairs, n):
+    """Dense As(v): each v_alpha scattered onto (i,i), (j,j), -(i,j), -(j,i)."""
+    out = np.zeros((n, n))
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    np.add.at(out, (ii, ii), v)
+    np.add.at(out, (jj, jj), v)
+    np.add.at(out, (ii, jj), -v)
+    np.add.at(out, (jj, ii), -v)
+    return out
+
+
 def random_instance(rng, n=8, q=3, n_pairs=10):
     iu, ju = np.triu_indices(n, 1)
     sel = rng.choice(iu.size, n_pairs, replace=False)
@@ -63,6 +74,38 @@ class TestApplyA:
         lhs = float(apply_A(x, pairs) @ v)
         rhs = float((x * apply_A_adjoint(v, pairs, 7)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [7, 40])
+class TestIncidenceRoute:
+    """The incidence-matrix kernels against routes that never build E."""
+
+    def instance(self, n):
+        rng = np.random.default_rng(n)
+        Q, pairs, b, lam = random_instance(rng, n=n, q=3,
+                                           n_pairs=n * (n - 1) // 4)
+        E, et = mc._incidence(pairs[:, 0], pairs[:, 1], n)
+        return Q, pairs, b, lam, E, et
+
+    def test_adjoint_matches_scatter_oracle(self, n):
+        Q, pairs, b, lam, E, et = self.instance(n)
+        np.testing.assert_allclose(apply_A_adjoint(lam, pairs, n),
+                                   adjoint_oracle(lam, pairs, n),
+                                   rtol=0, atol=1e-12)
+
+    def test_residual_matches_dense_apply_A(self, n):
+        Q, pairs, b, lam, E, et = self.instance(n)
+        dense = apply_A(Q @ Q.T, pairs)
+        np.testing.assert_allclose(mc._residual(et @ Q, b), dense - b,
+                                   rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    def test_gradient_matches_oracle_adjoint(self, n):
+        Q, pairs, b, lam, E, et = self.instance(n)
+        P = et @ Q
+        r = mc._residual(P, b) + lam
+        want = 2.0 * adjoint_oracle(r, pairs, n) @ Q
+        np.testing.assert_allclose(mc._gradient(E, P, r), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 class TestBBStep:

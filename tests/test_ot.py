@@ -19,6 +19,7 @@ from wassmatrix import (
 from wassmatrix.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    SolverFailure,
     UnsupportedInstance,
 )
 from wassmatrix import ot
@@ -86,6 +87,33 @@ class TestW2Squared:
         value, coupling = w2_squared(mu, nu, return_plan=True)
         assert value == pytest.approx(25.0, abs=1e-12)
         np.testing.assert_allclose(coupling.plan.sum(axis=1), mu.weights)
+
+    def test_lp_failure_raises_solver_failure(self, tmp_path, capsys,
+                                              monkeypatch):
+        from types import SimpleNamespace
+        from wassmatrix.cli import main
+        from wassmatrix.measures import save_dataset
+
+        calls = []
+
+        def failing_linprog(*_args, **_kwargs):
+            calls.append(1)
+            return SimpleNamespace(status=2, message="infeasible", fun=None,
+                                   x=None)
+
+        monkeypatch.setattr(ot, "linprog", failing_linprog)
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
+        nu = DiscreteMeasure([[0.0, 1.0], [2.0, 1.0]], [0.6, 0.4])
+        with pytest.raises(SolverFailure, match="infeasible"):
+            w2_squared(mu, nu)
+        assert len(calls) == 1  # the non-uniform pair took the LP path
+
+        save_dataset(MeasureDataset([mu, nu]), tmp_path / "data")
+        monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
+        assert main(["dist", "--data", str(tmp_path / "data"), "--full",
+                     "--out", str(tmp_path / "full")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "full.w2m").exists()
 
 
 class TestBruteForceOracle:
