@@ -17,7 +17,8 @@ bit-identically; output files append suffixes to the ``--out`` base.
 Exit codes: 0 success (MC stopped at its iteration cap warns on stderr),
 1 usage/configuration error, 2 numerical failure or a crashed worker
 pool.  ``WASSMATRIX_WORKERS`` sets the default worker count for
-distance-matrix assembly.
+distance-matrix assembly; small uniform pairs are batched in the main
+process and only the remaining pairs go to the workers.
 """
 
 from __future__ import annotations
@@ -415,7 +416,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="processes for the exact pairs that are not "
+                          "batched in the main process")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -31,6 +31,11 @@ from .matrixio import freeze
 _WEIGHT_TOL = 1e-12
 
 
+def uniform_weights(weights: np.ndarray, tol: float = _WEIGHT_TOL) -> bool:
+    """True when every weight is within ``tol`` of 1 / (number of atoms)."""
+    return bool(np.all(np.abs(weights - 1.0 / weights.shape[0]) <= tol))
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """A probability measure sum_i w_i * delta_{x_i} on R^n.
@@ -76,7 +81,7 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
     def is_uniform(self, tol: float = _WEIGHT_TOL) -> bool:
-        return bool(np.all(np.abs(self.weights - 1.0 / self.num_atoms) <= tol))
+        return uniform_weights(self.weights, tol)
 
     def translated(self, shift) -> "DiscreteMeasure":
         shift = np.asarray(shift, dtype=np.float64).ravel()

@@ -9,7 +9,11 @@ sorted-quantile closed form for measures on the line.
 
 ``w2_matrix`` assembles the N x N matrix D_ij = W2(mu_i, mu_j)^2 for a
 dataset, either in full or restricted to a sample plan (entry set or
-column set), optionally fanning the independent pair solves out over a
+column set).  Pairs of uniform measures with the same small atom count
+m <= 4 and dimension are solved in the calling process, many at once:
+their optimum sits at a permutation vertex (Birkhoff-von Neumann), so
+the minimum over all m! permutation couplings is exact.  Only the
+remaining pairs are solved one by one, optionally fanned out over a
 process pool.  Entries are pure functions of the two measures, so the
 result is identical for any worker count.
 """
@@ -33,11 +37,15 @@ from .errors import (
     UnsupportedInstance,
 )
 from .matrixio import DistanceMatrix, MatrixKind
-from .measures import DiscreteMeasure, MeasureDataset
+from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
 
 _MARGINAL_TOL = 1e-9
-_UNIFORM_TOL = 1e-12
+# Largest atom count w2_matrix solves by permutation minimum (4! = 24
+# vertices).  Per pair on one core, d = 2: 1.6 us at m = 4, 5.3 us at 5,
+# 29 us at 6 and 100 us at 7, against ~35 us through linear_sum_assignment.
+_BATCH_MAX_ATOMS = 4
+_BATCH_PAIRS = 32768  # pairs per vectorised block; bounds its temporaries
 
 
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
@@ -100,14 +108,9 @@ def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
         )
     cost = cdist(x, y, "sqeuclidean")
     m, n = cost.shape
-    if m == n and (np.abs(wx - 1.0 / m).max() <= _UNIFORM_TOL
-                   and np.abs(wy - 1.0 / n).max() <= _UNIFORM_TOL):
+    if m == n and uniform_weights(wx) and uniform_weights(wy):
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / m)
-    if m == 1:
-        return float(cost[0] @ wy)
-    if n == 1:
-        return float(cost[:, 0] @ wx)
     value, _ = _solve_transport(cost, wx, wy)
     return value
 
@@ -183,6 +186,50 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 # --- matrix assembly -----------------------------------------------------------
 
+def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact W2^2 of the uniform m-atom pairs (x[b], y[b]), x and y (B, m, d).
+
+    Builds each pair's squared-cost matrix and takes the minimum over all
+    m! permutation couplings.  Costs are summed over coordinates and then
+    over rows in index order, as cdist and the assignment route sum them.
+    """
+    cost = np.zeros((x.shape[0], x.shape[1], y.shape[1]))
+    for k in range(x.shape[2]):
+        gap = x[:, :, None, k] - y[:, None, :, k]
+        cost += gap * gap
+    m = x.shape[1]
+    best = np.full(x.shape[0], np.inf)
+    for perm in itertools.permutations(range(m)):
+        total = cost[:, 0, perm[0]].copy()
+        for r in range(1, m):
+            total += cost[:, r, perm[r]]
+        np.minimum(best, total, out=best)
+    return best / m
+
+
+def _solve_batched(data: MeasureDataset, pairs: np.ndarray,
+                   vals: np.ndarray) -> np.ndarray:
+    """Fill ``vals`` for the pairs of uniform measures of one shape (m <=
+    _BATCH_MAX_ATOMS atoms in R^d); returns the mask of the pairs filled."""
+    groups: dict[tuple, list[int]] = {}
+    for k, mu in enumerate(data.measures):
+        if mu.num_atoms <= _BATCH_MAX_ATOMS and uniform_weights(mu.weights):
+            groups.setdefault(mu.points.shape, []).append(k)
+    done = np.zeros(pairs.shape[0], bool)
+    for members in groups.values():
+        local = np.full(len(data), -1)
+        local[members] = np.arange(len(members))
+        li, lj = local[pairs[:, 0]], local[pairs[:, 1]]
+        sel = np.flatnonzero((li >= 0) & (lj >= 0))
+        stack = np.stack([data.measures[k].points for k in members])
+        for start in range(0, sel.size, _BATCH_PAIRS):
+            block = sel[start:start + _BATCH_PAIRS]
+            vals[block] = _permutation_minimum(stack[li[block]],
+                                               stack[lj[block]])
+        done[sel] = True
+    return done
+
+
 def _solve_pairs(points: list, weights: list, pairs: np.ndarray) -> np.ndarray:
     out = np.empty(pairs.shape[0])
     for k, (i, j) in enumerate(pairs):
@@ -224,23 +271,30 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
     ``plan=None`` computes all N(N-1)/2 upper-triangle entries and
     mirrors them.  An entry plan computes exactly its pairs; a column
     plan computes every entry in the sampled columns (and, by symmetry,
-    rows).  Independent pair solves may be distributed over ``workers``
-    processes; the result does not depend on the worker count.
+    rows).  Pairs of uniform measures with equal atom count m <= 4 and
+    equal dimension are solved in the calling process by a vectorised
+    permutation minimum.  Only the remaining pairs may be distributed
+    over ``workers`` processes, and a pool starts only when at least
+    2 * workers of them are left.  The result does not depend on the
+    worker count.
     """
     n = len(data)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     pairs = _required_pairs(n, plan)
+    vals = np.empty(pairs.shape[0])
+    rest = ~_solve_batched(data, pairs, vals)
+    todo = pairs[rest]
     points = [mu.points for mu in data.measures]
     weights = [mu.weights for mu in data.measures]
-    if workers == 1 or pairs.shape[0] < 2 * workers:
-        vals = _solve_pairs(points, weights, pairs)
+    if workers == 1 or todo.shape[0] < 2 * workers:
+        vals[rest] = _solve_pairs(points, weights, todo)
     else:
-        chunks = np.array_split(pairs, workers * 4)
+        chunks = np.array_split(todo, workers * 4)
         chunks = [c for c in chunks if c.shape[0]]
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(points, weights)) as pool:
-            vals = np.concatenate(list(pool.map(_pool_solve, chunks)))
+            vals[rest] = np.concatenate(list(pool.map(_pool_solve, chunks)))
     values = np.zeros((n, n))
     mask = np.eye(n, dtype=bool)
     ii, jj = pairs[:, 0], pairs[:, 1]

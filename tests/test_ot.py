@@ -169,6 +169,75 @@ class TestQuantileOracle:
         assert worst <= 1e-9
 
 
+def uniform_family(rng, count, m, dim):
+    return MeasureDataset([
+        DiscreteMeasure(rng.normal(size=(m, dim)) * 3, np.full(m, 1.0 / m))
+        for _ in range(count)])
+
+
+def batched_matrix(data, monkeypatch):
+    """w2_matrix with the per-pair routes disabled: every entry must come
+    from the batched permutation minimum."""
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("pair left the batched route")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ot, "linear_sum_assignment", no_solve)
+        mp.setattr(ot, "linprog", no_solve)
+        return w2_matrix(data).values
+
+
+class TestBatchedRoute:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_independent_routes(self, m, dim, monkeypatch):
+        rng = np.random.default_rng(300 + 10 * m + dim)
+        data = uniform_family(rng, 12, m, dim)
+        vals = batched_matrix(data, monkeypatch)
+        for i, j in zip(*np.triu_indices(len(data), k=1)):
+            mu, nu = data[int(i)], data[int(j)]
+            assert vals[i, j] == w2_squared(mu, nu)  # same bits as the LSA
+            assert abs(vals[i, j] - w2_squared_bruteforce(mu, nu)) <= 1e-12
+            if dim == 1:
+                assert abs(vals[i, j] - w2_squared_1d(mu, nu)) <= 1e-9
+
+    def test_exact_ties_match_assignment_route(self, monkeypatch):
+        # (a - b) . (c - d) = 0: both couplings cost the same, and on
+        # small integers every cost and sum is exact
+        rng = np.random.default_rng(301)
+        measures = []
+        for _ in range(20):
+            t = rng.integers(-5, 6, size=2).astype(float)
+            measures.append(DiscreteMeasure([t + [1, 0], t - [1, 0]],
+                                            [0.5, 0.5]))
+            measures.append(DiscreteMeasure([t + [0, 2], t - [0, 2]],
+                                            [0.5, 0.5]))
+        data = MeasureDataset(measures)
+        vals = batched_matrix(data, monkeypatch)
+        for i, j in zip(*np.triu_indices(len(data), k=1)):
+            assert vals[i, j] == w2_squared(data[int(i)], data[int(j)])
+
+    def test_near_ties_take_the_smaller_vertex(self, monkeypatch):
+        # every cross pair t + u vs s + v has several optimal couplings
+        # whose costs differ only by round-off: 2-atom supports along
+        # orthogonal lines, and point reflections (v = -u), whose cost
+        # matrix is symmetric.  The assignment solver may return any of them.
+        rng = np.random.default_rng(302)
+        for m in (2, 3, 4):
+            u = rng.normal(size=(m, 2))
+            v = -u if m > 2 else u[:, ::-1] * [1.0, -1.0]
+            w = np.full(m, 1.0 / m)
+            shifts = rng.normal(size=(2, 20, 1, 2)) * 3
+            data = MeasureDataset([DiscreteMeasure(t + u, w) for t in shifts[0]]
+                                  + [DiscreteMeasure(s + v, w) for s in shifts[1]])
+            vals = batched_matrix(data, monkeypatch)
+            for i, j in zip(*np.triu_indices(len(data), k=1)):
+                mu, nu = data[int(i)], data[int(j)]
+                lsa = w2_squared(mu, nu)
+                assert vals[i, j] == w2_squared_bruteforce(mu, nu)
+                assert vals[i, j] <= lsa <= vals[i, j] * (1 + 1e-12)
+
+
 class TestW2Matrix:
     def test_full_matches_translation_oracle(self):
         base = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
@@ -247,6 +316,53 @@ class TestW2Matrix:
         parallel = w2_matrix(data, workers=8)
         assert serial.values.tobytes() == parallel.values.tobytes()
         assert serial.mask.tobytes() == parallel.mask.tobytes()
+
+    def test_mixed_dataset_pool_determinism(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        measures = []
+        for m in (2, 3):  # batched
+            measures += uniform_family(rng, 4, m, 2).measures
+        for _ in range(4):  # LP
+            measures.append(DiscreteMeasure(rng.normal(size=(3, 2)),
+                                            rng.random(3) + 0.1))
+        measures += uniform_family(rng, 2, 6, 2).measures  # assignment
+        data = MeasureDataset(measures)
+        batched_pairs = 2 * (4 * 3 // 2)  # all pairs within the 2 groups
+
+        solved, started = [], []
+        solve_pairs, pool = ot._solve_pairs, ot.ProcessPoolExecutor
+
+        def counting_solve(points, weights, pairs):
+            solved.append(pairs.shape[0])
+            return solve_pairs(points, weights, pairs)
+
+        def counting_pool(**kwargs):
+            started.append(kwargs["max_workers"])
+            return pool(**kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(ot, "_solve_pairs", counting_solve)
+            serial = w2_matrix(data, workers=1)
+        assert solved == [14 * 13 // 2 - batched_pairs]
+
+        monkeypatch.setattr(ot, "ProcessPoolExecutor", counting_pool)
+        for workers in (2, 8):
+            parallel = w2_matrix(data, workers=workers)
+            assert serial.values.tobytes() == parallel.values.tobytes()
+            assert serial.mask.tobytes() == parallel.mask.tobytes()
+        assert started == [2, 8]
+
+    def test_all_batched_starts_no_pool(self, monkeypatch):
+        data = synth_translation_family(
+            two_atom_base(), np.random.default_rng(1).normal(size=(12, 2)))
+        serial = w2_matrix(data, workers=1)
+
+        def no_pool(**_kwargs):
+            raise AssertionError("a pool started for batched pairs")
+
+        monkeypatch.setattr(ot, "ProcessPoolExecutor", no_pool)
+        parallel = w2_matrix(data, workers=2)
+        assert serial.values.tobytes() == parallel.values.tobytes()
 
     def test_serial_assembly_leaves_no_module_state(self, monkeypatch):
         monkeypatch.setattr(ot, "_POOL_DATA", None)
