@@ -131,7 +131,6 @@ class StabilityConfig:
     test_fraction: float = 0.1
     classifiers: tuple = ("knn1", "lda")
     fixed_dimension: int | None = None
-    pinv_tolerance: float = 1e-10
     seed: int = 0
     workers: int = 1
 
@@ -181,7 +180,7 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     n = full.size
     plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
     block = ColumnBlock.from_matrix(full, plan.indices)
-    spec = spectrum(NystromFactor.of(block, cfg.pinv_tolerance))
+    spec = spectrum(NystromFactor.of(block))
     if cfg.fixed_dimension is not None:
         dim = min(max(cfg.fixed_dimension, 1), n - 1)
     else:

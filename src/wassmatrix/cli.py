@@ -48,7 +48,7 @@ from .errors import ConfigError, NumericalError, UsageError
 from .matrixio import MatrixKind
 from .mc import McConfig, complete_mc
 from .measures import load_dataset, save_dataset, synthetic_dataset
-from .nystrom import ColumnBlock, NystromFactor, complete_nystrom
+from .nystrom import PINV_TOLERANCE, ColumnBlock, NystromFactor, complete_nystrom
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
 from .seeding import derive_seed
@@ -94,9 +94,6 @@ class ExperimentConfig:
     max_outer_iters: int = 300
     inner_steps: int = 100
     residual_tolerance: float = 1e-6
-    damping: float = 1.0
-    pinv_tolerance: float = 1e-10
-    reimpose_observed: bool = False
     out: str | None = None
 
     def resolved_workers(self) -> int:
@@ -116,7 +113,6 @@ class ExperimentConfig:
             max_outer_iters=self.max_outer_iters,
             inner_steps=self.inner_steps,
             residual_tolerance=self.residual_tolerance,
-            multiplier_update_damping=self.damping,
             seed=derive_seed(self.seed, "mc"),
         )
 
@@ -238,36 +234,20 @@ def cmd_synth(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _dist_plan(cfg: ExperimentConfig, n: int):
-    modes = sum([bool(cfg.full), cfg.rate is not None, cfg.columns is not None])
-    _require(modes == 1, "exactly one of --full, --rate, --columns is required")
-    if cfg.full:
-        return None
-    plan_seed = derive_seed(cfg.seed, "plan")
-    if cfg.rate is not None:
-        return sample_entries(n, cfg.rate, plan_seed)
-    return sample_columns(n, cfg.columns, plan_seed)
-
-
 def cmd_dist(cfg: ExperimentConfig) -> int:
     _require(cfg.out is not None, "--out is required")
     t0 = time.perf_counter()
-    if cfg.n is not None and not cfg.data and not cfg.synthetic:
-        # plan-only mode: draw and persist the sample plan without measures
-        plan = _dist_plan(cfg, cfg.n)
-        _require(plan is not None, "plan-only mode needs --rate or --columns")
-        sampling.save_plan(plan, _out_path(cfg.out, ".plan.json"))
-        _write_manifest(_out_path(cfg.out, ".manifest.json"), "dist", cfg, {
-            "plan_only": True,
-            "size": cfg.n,
-            "observed_entries": plan.observed_offdiagonal_entries(),
-        }, time.perf_counter() - t0)
-        print(f"wrote plan with {plan.observed_offdiagonal_entries()} "
-              f"off-diagonal entries")
-        return EXIT_OK
     data = _load_source_dataset(cfg)
     n = len(data)
-    plan = _dist_plan(cfg, n)
+    modes = sum([bool(cfg.full), cfg.rate is not None, cfg.columns is not None])
+    _require(modes == 1, "exactly one of --full, --rate, --columns is required")
+    plan_seed = derive_seed(cfg.seed, "plan")
+    if cfg.full:
+        plan = None
+    elif cfg.rate is not None:
+        plan = sample_entries(n, cfg.rate, plan_seed)
+    else:
+        plan = sample_columns(n, cfg.columns, plan_seed)
     matrix = w2_matrix(data, plan, cfg.resolved_workers())
     w2m = _out_path(cfg.out, ".w2m")
     matrixio.save(matrix, w2m)
@@ -312,15 +292,12 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
             _require(matrix.kind is MatrixKind.FULL,
                      f"no column plan found at {plan_path}")
             indices = np.arange(matrix.size)
-        factor = NystromFactor.of(ColumnBlock.from_matrix(matrix, indices),
-                                  cfg.pinv_tolerance)
-        estimate = complete_nystrom(factor,
-                                    reimpose_observed=cfg.reimpose_observed)
+        factor = NystromFactor.of(ColumnBlock.from_matrix(matrix, indices))
+        estimate = complete_nystrom(factor)
         report_obj = {
             "columns": int(factor.indices.size),
-            "pinv_tolerance": cfg.pinv_tolerance,
+            "pinv_tolerance": PINV_TOLERANCE,
             "core_effective_rank": factor.effective_rank,
-            "reimpose_observed": cfg.reimpose_observed,
         }
     w2m = _out_path(cfg.out, ".w2m")
     matrixio.save(estimate, w2m)
@@ -389,7 +366,6 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
         test_fraction=cfg.test_fraction,
         classifiers=classifiers,
         fixed_dimension=cfg.dim,
-        pinv_tolerance=cfg.pinv_tolerance,
         seed=cfg.seed,
         workers=cfg.resolved_workers(),
     )
@@ -442,8 +418,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dist", help="compute a (sampled) W2^2 distance matrix")
     p.add_argument("--data", default=None, help="dataset directory")
     p.add_argument("--synthetic", default=None, help="synthetic dataset spec")
-    p.add_argument("--n", type=int, default=None,
-                   help="plan-only mode: matrix size without measures")
     p.add_argument("--full", action="store_true", default=None)
     p.add_argument("--rate", type=float, default=None)
     p.add_argument("--columns", type=int, default=None)
@@ -460,10 +434,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner-steps", dest="inner_steps", type=int, default=None)
     p.add_argument("--residual-tolerance", dest="residual_tolerance",
                    type=float, default=None)
-    p.add_argument("--damping", type=float, default=None)
-    p.add_argument("--pinv-tolerance", dest="pinv_tolerance", type=float, default=None)
-    p.add_argument("--reimpose-observed", dest="reimpose_observed",
-                   action="store_true", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_complete)
 

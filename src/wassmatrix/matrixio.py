@@ -32,6 +32,9 @@ class MatrixKind(enum.Enum):
     ESTIMATED = 2
 
 
+CENTER_TOL = 1e-8  # largest column sum/mean accepted as centred
+
+
 def freeze(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it (for frozen dataclass fields)."""
     a.flags.writeable = False

@@ -11,7 +11,7 @@ objective
     L(Q; lambda) = 1/2 || A(QQ^T) - b + lambda ||^2
 
 by alternating blocks of Barzilai-Borwein gradient steps on Q with
-multiplier ascent lambda += damping * (A(QQ^T) - b).
+multiplier ascent lambda += A(QQ^T) - b.
 
 All three uses of the operator go through one sparse incidence matrix
 E in R^{N x |Omega|}, whose column alpha is e_i - e_j.  With the row
@@ -43,13 +43,10 @@ from scipy import sparse
 from .errors import (
     Diverged,
     EmptyPlan,
-    FormatError,
     IndexOutOfRange,
     InvariantViolation,
 )
-from .matrixio import DistanceMatrix, freeze, sanitized_estimate
-
-CENTER_TOL = 1e-8  # largest column sum/mean accepted as centred
+from .matrixio import CENTER_TOL, DistanceMatrix, freeze, sanitized_estimate
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,10 @@ class McConfig:
     """Solver knobs for :func:`complete_mc`.
 
     ``max_outer_iters * inner_steps`` caps the total number of BB steps.
-    ``bb_step_bounds`` clamp the raw BB1 step; a nonpositive secant
-    curvature falls back to the lower bound.
+    Each block's first step is 1 / ||grad||; ``bb_step_bounds`` clamp it
+    and the raw BB1 steps after it, and a nonpositive secant curvature
+    falls back to the lower bound.  Between blocks the multipliers take
+    the full residual.
     """
 
     rank_estimate: int = 10
@@ -66,9 +65,7 @@ class McConfig:
     inner_steps: int = 100
     residual_tolerance: float = 1e-6
     bb_step_bounds: tuple = (1e-12, 1e10)
-    multiplier_update_damping: float = 1.0
     divergence_patience: int = 50
-    initial_step: float | None = None  # None: 1/||grad|| at the start point
     seed: int = 0
 
     def __post_init__(self):
@@ -81,31 +78,6 @@ class McConfig:
         lo, hi = self.bb_step_bounds
         if not 0 < lo <= hi:
             raise ValueError("bb_step_bounds must satisfy 0 < lo <= hi")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be > 0 when given")
-
-    def to_json(self) -> dict:
-        return {
-            "rank_estimate": self.rank_estimate,
-            "max_outer_iters": self.max_outer_iters,
-            "inner_steps": self.inner_steps,
-            "residual_tolerance": self.residual_tolerance,
-            "bb_step_bounds": list(self.bb_step_bounds),
-            "multiplier_update_damping": self.multiplier_update_damping,
-            "divergence_patience": self.divergence_patience,
-            "initial_step": self.initial_step,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "McConfig":
-        try:
-            obj = dict(obj)
-            if "bb_step_bounds" in obj:
-                obj["bb_step_bounds"] = tuple(obj["bb_step_bounds"])
-            return McConfig(**obj)
-        except TypeError as exc:
-            raise FormatError(f"malformed McConfig: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -274,11 +246,8 @@ def complete_mc(d_obs: DistanceMatrix,
             for _ in range(cfg.inner_steps):
                 g = _gradient(E, P, res + lam)
                 if Q_prev is None:
-                    if cfg.initial_step is not None:
-                        step = cfg.initial_step
-                    else:
-                        gn = float(np.linalg.norm(g))
-                        step = 1.0 / gn if gn > 0 else cfg.bb_step_bounds[0]
+                    gn = float(np.linalg.norm(g))
+                    step = 1.0 / gn if gn > 0 else cfg.bb_step_bounds[0]
                     step = min(max(step, cfg.bb_step_bounds[0]),
                                cfg.bb_step_bounds[1])
                 else:
@@ -302,7 +271,7 @@ def complete_mc(d_obs: DistanceMatrix,
             if current <= cfg.residual_tolerance:
                 stop_reason = "converged"
                 break
-            lam = lam + cfg.multiplier_update_damping * res
+            lam = lam + res
 
     sq = np.einsum("ij,ij->i", Q, Q)
     report = ConvergenceReport(

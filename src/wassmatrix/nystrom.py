@@ -2,11 +2,12 @@
 
 Given the block of fully computed columns C = D(:, I) and its core
 U = D(I, I), the completed matrix is the symmetric product C U^+ C^T
-with U^+ a truncated pseudoinverse.  When rank(U) equals rank(D) the
-product reproduces D exactly; the estimate is sanitized afterwards
-(zero diagonal, symmetrization, negative clamp) so it satisfies the
-distance-matrix invariants.  Sampled rows/columns are NOT re-imposed on
-the output by default; the product already is the estimate.
+with U^+ the pseudoinverse truncated at ``PINV_TOLERANCE`` times the
+core's largest singular value.  When rank(U) equals rank(D) the product
+reproduces D exactly; the estimate is sanitized afterwards (zero
+diagonal, symmetrization, negative clamp) so it satisfies the
+distance-matrix invariants.  The product is the estimate: sampled
+rows/columns are not re-imposed on it.
 
 :class:`NystromFactor` keeps the estimate as its factors C and U^+,
 built by the one SVD of the core; ``embedding.spectrum`` embeds it
@@ -31,8 +32,10 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .matrixio import DistanceMatrix, MatrixKind, freeze, sanitized_estimate
-from .mc import CENTER_TOL
+from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
+from .matrixio import freeze, sanitized_estimate
+
+PINV_TOLERANCE = 1e-10  # core singular values below this * sigma_max are cut
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class ColumnBlock:
     indices: np.ndarray
     core: np.ndarray
 
-    def __init__(self, columns, indices, core=None):
+    def __init__(self, columns, indices):
         columns = np.array(columns, dtype=np.float64)
         indices = np.array(indices, dtype=np.int64).ravel()
         if columns.ndim != 2 or columns.shape[1] != indices.shape[0]:
@@ -56,20 +59,14 @@ class ColumnBlock:
             raise InvariantViolation("column indices out of range")
         if np.unique(indices).size != indices.size:
             raise InvariantViolation("duplicate column indices")
-        derived = columns[indices, :]
-        if core is None:
-            core = derived
-        else:
-            core = np.asarray(core, dtype=np.float64)
-            if not np.array_equal(core, derived):
-                raise InvariantViolation("core must equal columns(I, :)")
+        core = columns[indices, :]
         if not np.array_equal(core, core.T):
             raise InvariantViolation("core must be symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
-        object.__setattr__(self, "core", freeze(np.array(core)))
+        object.__setattr__(self, "core", freeze(core))
 
     @property
     def size(self) -> int:
@@ -104,25 +101,14 @@ def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
     return (vt.T * inv) @ u.T, s, int(keep.sum())
 
 
-def truncated_pinv(matrix: np.ndarray, rel_tolerance: float) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    ``rel_tolerance * sigma_max`` truncated to zero."""
-    return _truncated_svd_pinv(matrix, rel_tolerance)[0]
-
-
-def nystrom_product(columns: np.ndarray, core: np.ndarray,
-                    pinv_tolerance: float = 1e-10) -> np.ndarray:
-    """Raw symmetric Nystrom extension C U^+ C^T, unsanitized."""
-    return columns @ truncated_pinv(core, pinv_tolerance) @ columns.T
-
-
 @dataclass(frozen=True)
 class NystromFactor:
     """The rank-<=c estimate C U^+ C^T kept as its factors.
 
-    Built by the one SVD of the core U: ``core_pinv`` is the truncated
-    pseudoinverse W = U^+, ``core_singular_values`` the core's spectrum
-    and ``effective_rank`` the number of singular values W keeps.
+    Built by the one SVD of the core U: ``core_pinv`` is the
+    pseudoinverse W = U^+ truncated at ``PINV_TOLERANCE``,
+    ``core_singular_values`` the core's spectrum and ``effective_rank``
+    the number of singular values W keeps.
     """
 
     columns: np.ndarray
@@ -132,10 +118,10 @@ class NystromFactor:
     effective_rank: int
 
     @staticmethod
-    def of(block: ColumnBlock, pinv_tolerance: float = 1e-10) -> "NystromFactor":
+    def of(block: ColumnBlock) -> "NystromFactor":
         if not np.any(block.core) and np.any(block.columns):
             raise DegenerateCore("core block is identically zero")
-        pinv, sigma, rank = _truncated_svd_pinv(block.core, pinv_tolerance)
+        pinv, sigma, rank = _truncated_svd_pinv(block.core, PINV_TOLERANCE)
         return NystromFactor(block.columns, block.indices, freeze(pinv),
                              freeze(sigma), rank)
 
@@ -148,26 +134,14 @@ class NystromFactor:
         return (self.columns @ self.core_pinv) @ self.columns.T
 
 
-def complete_nystrom(block: ColumnBlock | NystromFactor,
-                     pinv_tolerance: float = 1e-10,
-                     reimpose_observed: bool = False) -> DistanceMatrix:
-    """Complete a distance matrix from a column block.
+def complete_nystrom(block: ColumnBlock | NystromFactor) -> DistanceMatrix:
+    """Sanitized Nystrom estimate C U^+ C^T from a column block.
 
     A :class:`NystromFactor` already built from the block may be passed
-    instead, so its core is not decomposed again (``pinv_tolerance`` is
-    then the factor's own).  ``reimpose_observed`` overwrites the sampled
-    rows/columns of the product with the computed values afterwards; off
-    by default since the plain product is the estimator (and
-    re-imposition breaks the symmetric factorization that makes exact
-    recovery provable).
+    instead, so its core is not decomposed again.
     """
-    factor = (block if isinstance(block, NystromFactor)
-              else NystromFactor.of(block, pinv_tolerance))
-    d_est = factor.product()
-    if reimpose_observed:
-        d_est[:, factor.indices] = factor.columns
-        d_est[factor.indices, :] = factor.columns.T
-    return sanitized_estimate(d_est)
+    factor = block if isinstance(block, NystromFactor) else NystromFactor.of(block)
+    return sanitized_estimate(factor.product())
 
 
 def incoherence(matrix: DistanceMatrix, r: int) -> float:

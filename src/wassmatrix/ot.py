@@ -75,7 +75,9 @@ class Coupling:
 
 
 def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Exact optimum of the balanced transportation LP; returns (value, plan)."""
+    """Exact optimum of the balanced transportation problem; returns
+    (value, plan).  One atom on either side forces the coupling, square
+    uniform instances are assignment problems and the rest go to the LP."""
     m, n = cost.shape
     if m == 1:  # coupling is forced by the column marginal
         plan = b[None, :].copy()
@@ -83,6 +85,17 @@ def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     if n == 1:
         plan = a[:, None].copy()
         return float(cost[:, 0] @ a), plan
+    if m == n and uniform_weights(a) and uniform_weights(b):
+        rows, cols = linear_sum_assignment(cost)
+        plan = np.zeros((m, n))
+        plan[rows, cols] = 1.0 / m
+        return float(cost[rows, cols].sum() / m), plan
+    return _solve_lp(cost, a, b)
+
+
+def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Exact optimum of the transportation LP by HiGHS; returns (value, plan)."""
+    m, n = cost.shape
     rows = sparse.kron(sparse.eye(m, format="csr"),
                        np.ones((1, n)), format="csr")
     cols = sparse.kron(np.ones((1, m)),
@@ -106,13 +119,7 @@ def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
         raise DimensionMismatch(
             f"measures live in R^{x.shape[1]} and R^{y.shape[1]}"
         )
-    cost = cdist(x, y, "sqeuclidean")
-    m, n = cost.shape
-    if m == n and uniform_weights(wx) and uniform_weights(wy):
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].sum() / m)
-    value, _ = _solve_transport(cost, wx, wy)
-    return value
+    return _solve_transport(cdist(x, y, "sqeuclidean"), wx, wy)[0]
 
 
 def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -121,19 +128,14 @@ def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
     With ``return_plan=True`` also returns an optimal :class:`Coupling`
     (which optimal vertex is returned is solver-dependent; only the
-    value is contracted).
+    value is contracted).  On uniform pairs whose optimal couplings tie
+    up to round-off, the assignment route can return a value one ulp
+    above the batched permutation minimum that ``w2_matrix`` stores for
+    the same pair.
     """
+    value, plan = _solve_transport(cost_matrix(mu, nu), mu.weights, nu.weights)
     if not return_plan:
-        return _w2_from_arrays(mu.points, mu.weights, nu.points, nu.weights)
-    cost = cost_matrix(mu, nu)
-    m, n = cost.shape
-    if m == n and mu.is_uniform() and nu.is_uniform():
-        rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros((m, n))
-        plan[rows, cols] = 1.0 / m
-        value = float(cost[rows, cols].sum() / m)
-    else:
-        value, plan = _solve_transport(cost, mu.weights, nu.weights)
+        return value
     return value, Coupling(plan, mu.weights, nu.weights)
 
 

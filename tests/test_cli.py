@@ -80,14 +80,6 @@ class TestSynthAndDist:
                                              derive_seed(0, "synth")))
         np.testing.assert_array_equal(matrix.values, direct.values)
 
-    def test_plan_only_budget_arithmetic(self, tmp_path, capsys):
-        out = tmp_path / "plan2000"
-        assert run("dist", "--n", 2000, "--rate", 0.25, "--seed", 1,
-                   "--out", out) == 0
-        manifest = json.loads((tmp_path / "plan2000.manifest.json").read_text())
-        assert manifest["observed_entries"] == 499750
-        assert manifest["plan_only"] is True
-
     def test_crashed_worker_pool_exits_2(self, tmp_path, capsys,
                                          monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -227,6 +219,43 @@ class TestComplete:
         assert run("complete", "--algorithm", "nystrom",
                    "--input", tmp_path / "ent2.w2m",
                    "--out", tmp_path / "bad") == 1
+
+
+class TestRemovedOptions:
+    """Options whose only value is now a constant are usage errors that
+    write nothing, whether given as a flag, by --set or in a config file."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        run("synth", "--spec", "translations:grid3", "--out", data_dir)
+        run("dist", "--data", data_dir, "--full", "--out", tmp_path / "full")
+        run("dist", "--data", data_dir, "--rate", 0.5, "--out", tmp_path / "ent")
+        (tmp_path / "cfg.json").write_text(json.dumps({"reimpose_observed": True}))
+        capsys.readouterr()
+        return tmp_path
+
+    MC = ("complete", "--algorithm", "mc", "--input", "{d}/ent.w2m",
+          "--rank-estimate", 2, "--max-outer-iters", 1, "--inner-steps", 1)
+    NYSTROM = ("complete", "--algorithm", "nystrom", "--input", "{d}/full.w2m")
+
+    @pytest.mark.parametrize("argv, named", [
+        (MC + ("--damping", 0.5), "--damping"),
+        (MC + ("--set", "damping=0.5"), "'damping'"),
+        (NYSTROM + ("--pinv-tolerance", 1e-8), "--pinv-tolerance"),
+        (NYSTROM + ("--reimpose-observed",), "--reimpose-observed"),
+        (NYSTROM + ("--config", "{d}/cfg.json"), "'reimpose_observed'"),
+        (("dist", "--n", 100, "--rate", 0.1), "--n"),
+    ], ids=["damping-flag", "damping-set", "pinv-tolerance-flag",
+            "reimpose-observed-flag", "reimpose-observed-config",
+            "plan-only-dist"])
+    def test_exits_1_and_writes_nothing(self, inputs, capsys, argv, named):
+        argv = [str(a).format(d=inputs) for a in argv]
+        assert run(*argv, "--out", inputs / "x") == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("wassmatrix: error:")]
+        assert len(errors) == 1 and named in errors[0]
+        assert not list(inputs.glob("x*"))
 
 
 class TestEmbedAndEval:

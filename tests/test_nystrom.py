@@ -20,7 +20,7 @@ from wassmatrix.errors import (
     ShapeMismatch,
 )
 from wassmatrix.matrixio import MatrixKind
-from wassmatrix.nystrom import nystrom_product, truncated_pinv
+from wassmatrix.nystrom import PINV_TOLERANCE, _truncated_svd_pinv
 
 
 def edm_of(points):
@@ -40,11 +40,6 @@ class TestColumnBlock:
         vals = edm_of(np.arange(5.0)[:, None])
         block = ColumnBlock(vals[:, [1, 3]], [1, 3])
         np.testing.assert_array_equal(block.core, vals[np.ix_([1, 3], [1, 3])])
-
-    def test_inconsistent_core_rejected(self):
-        vals = edm_of(np.arange(4.0)[:, None])
-        with pytest.raises(InvariantViolation):
-            ColumnBlock(vals[:, [0, 1]], [0, 1], core=np.zeros((2, 2)))
 
     def test_from_partial_requires_coverage(self):
         vals = edm_of(np.arange(4.0)[:, None])
@@ -66,12 +61,12 @@ class TestTruncatedPinv:
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 6))
         a = a + a.T
-        np.testing.assert_allclose(truncated_pinv(a, 1e-12),
+        np.testing.assert_allclose(_truncated_svd_pinv(a, 1e-12)[0],
                                    np.linalg.pinv(a), atol=1e-9)
 
     def test_truncates_small_singular_values(self):
         a = np.diag([1.0, 1e-14])
-        p = truncated_pinv(a, 1e-10)
+        p = _truncated_svd_pinv(a, 1e-10)[0]
         np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
 
 
@@ -86,15 +81,15 @@ class TestNystromFactor:
 
     def test_one_svd_gives_pinv_spectrum_and_rank(self):
         block = self.noisy_block(26, [0, 3, 5, 9, 12])
-        factor = NystromFactor.of(block, 1e-10)
-        np.testing.assert_array_equal(factor.core_pinv,
-                                      truncated_pinv(block.core, 1e-10))
+        factor = NystromFactor.of(block)
+        pinv = _truncated_svd_pinv(block.core, PINV_TOLERANCE)[0]
+        np.testing.assert_array_equal(factor.core_pinv, pinv)
         sigma = np.linalg.svd(block.core, compute_uv=False)
         np.testing.assert_allclose(factor.core_singular_values, sigma,
                                    rtol=1e-12)
         assert factor.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
-        np.testing.assert_array_equal(factor.product(), nystrom_product(
-            block.columns, block.core, 1e-10))
+        np.testing.assert_array_equal(factor.product(),
+                                      block.columns @ pinv @ block.columns.T)
 
     def test_truncation_sets_effective_rank(self):
         rng = np.random.default_rng(27)
@@ -105,10 +100,9 @@ class TestNystromFactor:
     def test_completing_a_factor_equals_completing_its_block(self):
         block = self.noisy_block(28, [1, 4, 7, 10])
         factor = NystromFactor.of(block)
-        for reimpose in (False, True):
-            a = complete_nystrom(block, reimpose_observed=reimpose)
-            b = complete_nystrom(factor, reimpose_observed=reimpose)
-            assert a.values.tobytes() == b.values.tobytes()
+        a = complete_nystrom(block)
+        b = complete_nystrom(factor)
+        assert a.values.tobytes() == b.values.tobytes()
 
     def test_degenerate_core(self):
         block = ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0])
@@ -148,7 +142,10 @@ class TestCompleteNystrom:
         v = rng.normal(size=9)
         v[0] = 1.7
         target = np.outer(v, v)
-        product = nystrom_product(target[:, [0]], target[np.ix_([0], [0])])
+        columns = target[:, [0]]
+        core_pinv = _truncated_svd_pinv(target[np.ix_([0], [0])],
+                                        PINV_TOLERANCE)[0]
+        product = columns @ core_pinv @ columns.T
         np.testing.assert_allclose(product, target, atol=1e-12)
 
     def test_degenerate_core(self):
@@ -166,19 +163,6 @@ class TestCompleteNystrom:
         np.testing.assert_array_equal(est.values, est.values.T)
         assert np.all(np.diagonal(est.values) == 0.0)
         assert np.all(est.values >= 0.0)
-
-    def test_reimpose_observed_flag(self):
-        rng = np.random.default_rng(25)
-        truth = edm_of(rng.normal(size=(9, 2)))
-        noisy = truth + 0.05 * np.abs(rng.normal(size=(9, 9)))
-        noisy = 0.5 * (noisy + noisy.T)
-        np.fill_diagonal(noisy, 0.0)
-        full = DistanceMatrix.full(noisy)
-        idx = np.array([1, 4, 7])
-        block = ColumnBlock.from_matrix(full, idx)
-        est = complete_nystrom(block, reimpose_observed=True)
-        np.testing.assert_allclose(est.values[:, idx], block.columns,
-                                   atol=1e-12)
 
     def test_exactness_with_mds_round_trip(self):
         # noiseless recovery: enough columns make both the matrix and its

@@ -87,8 +87,7 @@ def test_routes_agree(data):
     vals = w2_matrix(data).values
     for i, j in zip(*np.triu_indices(len(data), k=1)):
         mu, nu = data[int(i)], data[int(j)]
-        lp, _ = ot._solve_transport(cost_matrix(mu, nu), mu.weights,
-                                    nu.weights)
+        lp, _ = ot._solve_lp(cost_matrix(mu, nu), mu.weights, nu.weights)
         routes = [lp, w2_squared(mu, nu)]
         if mu.num_atoms == nu.num_atoms and mu.is_uniform() and nu.is_uniform():
             routes.append(w2_squared_bruteforce(mu, nu))
