@@ -26,10 +26,8 @@ from .measures import (
     MeasureDataset,
     load_dataset,
     measure_from_grid_image,
-    measure_from_image_file,
     save_dataset,
     synth_dilation_family,
-    synth_shear_family,
     synth_translation_family,
     synthetic_dataset,
 )
@@ -41,7 +39,6 @@ from .nystrom import (
     procrustes_distance,
 )
 from .ot import (
-    Coupling,
     cost_matrix,
     w2_matrix,
     w2_squared,
@@ -57,7 +54,6 @@ __all__ = [
     "AccuracyReport",
     "ColumnBlock",
     "ConvergenceReport",
-    "Coupling",
     "DiscreteMeasure",
     "DistanceMatrix",
     "Embedding",
@@ -85,7 +81,6 @@ __all__ = [
     "load_matrix",
     "mds",
     "measure_from_grid_image",
-    "measure_from_image_file",
     "procrustes_distance",
     "relative_error",
     "sample_columns",
@@ -96,7 +91,6 @@ __all__ = [
     "split_train_test",
     "stability_experiment",
     "synth_dilation_family",
-    "synth_shear_family",
     "synth_translation_family",
     "synthetic_dataset",
     "w2_matrix",

@@ -36,7 +36,6 @@ import numpy as np
 
 from . import matrixio, sampling
 from .classify import (
-    CLASSIFIERS,
     StabilityConfig,
     save_reports_csv,
     save_series_csv,
@@ -254,8 +253,11 @@ def cmd_dist(cfg: ExperimentConfig) -> int:
     observed = (n * (n - 1) // 2 if plan is None
                 else plan.observed_offdiagonal_entries())
     extra = {"size": n, "kind": matrix.kind.name, "observed_entries": observed}
-    if plan is not None:
-        sampling.save_plan(plan, _out_path(cfg.out, ".plan.json"))
+    plan_path = _out_path(cfg.out, ".plan.json")
+    if plan is None:  # complete would read a plan left by an earlier run
+        plan_path.unlink(missing_ok=True)
+    else:
+        sampling.save_plan(plan, plan_path)
         extra["plan"] = {"variant": plan.variant, "count": plan.count,
                          "seed": plan.seed}
     _write_manifest(_out_path(cfg.out, ".manifest.json"), "dist", cfg, extra,
@@ -356,11 +358,6 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     data = _load_source_dataset(cfg)
     _require(data.labels is not None, "classification needs a labeled dataset")
     classifiers = tuple(cfg.classifiers) if cfg.classifiers else ("knn1", "lda")
-    for name in classifiers:
-        _require(name in CLASSIFIERS, f"unknown classifier {name!r}")
-    full = None
-    if cfg.input:
-        full = matrixio.load(cfg.input)
     stab_cfg = StabilityConfig(
         energy=cfg.energy,
         test_fraction=cfg.test_fraction,
@@ -369,6 +366,9 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
         seed=cfg.seed,
         workers=cfg.resolved_workers(),
     )
+    full = None
+    if cfg.input:
+        full = matrixio.load(cfg.input)
     reports = stability_experiment(data, cfg.fractions, cfg.trials, stab_cfg,
                                    full_matrix=full)
     out = Path(cfg.out)

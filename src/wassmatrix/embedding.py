@@ -164,15 +164,6 @@ def choose_dimension(source: DistanceMatrix | NystromFactor | Spectrum,
     return k + 1 if k < sigma.size else spec.size
 
 
-def squared_distances_of(coords: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of embedding rows (round-trip checks)."""
-    g = np.einsum("ij,ij->i", coords, coords)
-    d = g[:, None] + g[None, :] - 2.0 * coords @ coords.T
-    np.maximum(d, 0.0, out=d)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def save_embedding(embedding: Embedding, path, labels=None) -> None:
     """CSV export ``index,z1,..,zd[,label]`` plus a JSON metadata sidecar."""
     path = Path(path)

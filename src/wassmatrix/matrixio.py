@@ -154,18 +154,6 @@ def load(path) -> DistanceMatrix:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def save_csv(matrix: DistanceMatrix, path) -> None:
-    """Lossy human-readable export: header ``i,j,value``, upper triangle,
-    unobserved entries as empty fields.  Indices are 0-based."""
-    lines = ["i,j,value"]
-    n = matrix.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = repr(float(matrix.values[i, j])) if matrix.mask[i, j] else ""
-            lines.append(f"{i},{j},{v}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 # --- evaluation ----------------------------------------------------------------
 
 def relative_error(estimate: DistanceMatrix, truth: DistanceMatrix) -> float:

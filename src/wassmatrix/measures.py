@@ -3,8 +3,8 @@
 A measure is a weighted point cloud in R^n.  Images become measures on
 their integer pixel grid: support points are (row, col) coordinates of
 pixels above a threshold, weights are proportional to pixel intensity.
-The synthetic families (translations, dilations, shears of a base
-measure) have known Euclidean isometry structure, which makes them the
+The synthetic families (translations and dilations of a base measure)
+have known Euclidean isometry structure, which makes them the
 ground-truth workhorses of the test suite: for a translation family the
 squared Wasserstein distance between members equals the squared
 Euclidean distance between their shift vectors.
@@ -31,9 +31,10 @@ from .matrixio import freeze
 _WEIGHT_TOL = 1e-12
 
 
-def uniform_weights(weights: np.ndarray, tol: float = _WEIGHT_TOL) -> bool:
-    """True when every weight is within ``tol`` of 1 / (number of atoms)."""
-    return bool(np.all(np.abs(weights - 1.0 / weights.shape[0]) <= tol))
+def uniform_weights(weights: np.ndarray) -> bool:
+    """True when every weight is within _WEIGHT_TOL of 1 / (atom count)."""
+    gap = np.abs(weights - 1.0 / weights.shape[0])
+    return bool(np.all(gap <= _WEIGHT_TOL))
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,8 @@ class DiscreteMeasure:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def is_uniform(self, tol: float = _WEIGHT_TOL) -> bool:
-        return uniform_weights(self.weights, tol)
+    def is_uniform(self) -> bool:
+        return uniform_weights(self.weights)
 
     def translated(self, shift) -> "DiscreteMeasure":
         shift = np.asarray(shift, dtype=np.float64).ravel()
@@ -176,18 +177,6 @@ def synth_dilation_family(base: DiscreteMeasure, scales,
     if np.any(scales <= 0):
         raise NonpositiveScale("all scales must be strictly positive")
     return MeasureDataset([base.dilated(s) for s in scales], labels, name)
-
-
-def synth_shear_family(base: DiscreteMeasure, shears,
-                       labels=None, name: str = "shears") -> MeasureDataset:
-    """Apply the planar shear (x, y) -> (x + s*y, y) for each factor s."""
-    if base.dimension != 2:
-        raise DimensionMismatch("shear family requires measures in R^2")
-    out = []
-    for s in np.asarray(shears, dtype=np.float64).ravel():
-        mat = np.array([[1.0, float(s)], [0.0, 1.0]])
-        out.append(DiscreteMeasure(base.points @ mat.T, base.weights))
-    return MeasureDataset(out, labels, name)
 
 
 def two_atom_base(half_separation: float = 0.5,
@@ -324,11 +313,12 @@ def save_dataset(dataset: MeasureDataset, directory) -> None:
                 writer.writerow([k, lab])
 
 
-def load_dataset(directory, name: str | None = None) -> MeasureDataset:
+def load_dataset(directory) -> MeasureDataset:
     """Read a dataset directory: measure files in sorted name order.
 
     ``labels.csv`` (columns ``index,label``) and ``*.json`` manifests are
-    skipped as measure files; label indices refer to the sorted order.
+    skipped as measure files; label indices refer to the sorted order,
+    and each index appears once.  The dataset is named after the directory.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -354,77 +344,12 @@ def load_dataset(directory, name: str | None = None) -> MeasureDataset:
                     raise FormatError(f"{label_path}: bad row {row!r}") from exc
                 if not 0 <= idx < len(measures):
                     raise FormatError(f"{label_path}: index {idx} out of range")
+                if idx in seen:
+                    raise FormatError(f"{label_path}: index {idx} repeated")
                 labels[idx] = lab
                 seen.add(idx)
         if len(seen) != len(measures):
             raise FormatError(f"{label_path}: labels cover {len(seen)} of "
                               f"{len(measures)} measures")
-    return MeasureDataset(measures, labels, name or directory.name)
+    return MeasureDataset(measures, labels, directory.name)
 
-
-# --- pixel-grid file readers -------------------------------------------------
-
-def read_pixel_grid(path) -> np.ndarray:
-    """Read a PGM (P2/P5) or CSV pixel grid as a float64 array."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic in (b"P2", b"P5"):
-        return _read_pgm(path)
-    try:
-        grid = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: neither PGM nor CSV grid") from exc
-    return grid
-
-
-def _pgm_tokens(data: bytes):
-    pos = 0
-    while pos < len(data):
-        ch = data[pos:pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            yield data[pos:end], end
-            pos = end
-
-
-def _read_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    tokens = _pgm_tokens(data)
-    try:
-        (magic, _), (w_tok, _), (h_tok, _), (max_tok, end) = (
-            next(tokens), next(tokens), next(tokens), next(tokens))
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
-    except (StopIteration, ValueError) as exc:
-        raise FormatError(f"{path}: truncated or malformed PGM header") from exc
-    if maxval <= 0:
-        raise FormatError(f"{path}: PGM maxval must be positive")
-    n = width * height
-    if magic == b"P2":
-        vals = []
-        for tok, _ in tokens:
-            vals.append(int(tok))
-        if len(vals) != n:
-            raise FormatError(f"{path}: expected {n} pixels, got {len(vals)}")
-        grid = np.array(vals, dtype=np.float64)
-    elif magic == b"P5":
-        payload = data[end + 1:]  # single whitespace byte after maxval
-        bytes_per = 1 if maxval < 256 else 2
-        if len(payload) < n * bytes_per:
-            raise FormatError(f"{path}: truncated P5 payload")
-        dt = np.uint8 if bytes_per == 1 else np.dtype(">u2")
-        grid = np.frombuffer(payload[:n * bytes_per], dtype=dt).astype(np.float64)
-    else:
-        raise FormatError(f"{path}: not a PGM file")
-    return grid.reshape(height, width)
-
-
-def measure_from_image_file(path, threshold: float = 0.0) -> DiscreteMeasure:
-    return measure_from_grid_image(read_pixel_grid(path), threshold)

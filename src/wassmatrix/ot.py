@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,7 +31,6 @@ from scipy.spatial.distance import cdist
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    InvariantViolation,
     SolverFailure,
     UnsupportedInstance,
 )
@@ -40,7 +38,6 @@ from .matrixio import DistanceMatrix, MatrixKind
 from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
 
-_MARGINAL_TOL = 1e-9
 # Largest atom count w2_matrix solves by permutation minimum (4! = 24
 # vertices).  Per pair on one core, d = 2: 1.6 us at m = 4, 5.3 us at 5,
 # 29 us at 6 and 100 us at 7, against ~35 us through linear_sum_assignment.
@@ -57,44 +54,23 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return cdist(mu.points, nu.points, "sqeuclidean")
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Transport plan with prescribed marginals."""
-
-    plan: np.ndarray
-
-    def __init__(self, plan, row_marginal, col_marginal):
-        plan = np.asarray(plan, dtype=np.float64)
-        if np.any(plan < -_MARGINAL_TOL):
-            raise InvariantViolation("coupling has negative mass")
-        plan = np.maximum(plan, 0.0)
-        if (np.abs(plan.sum(axis=1) - row_marginal).max() > _MARGINAL_TOL
-                or np.abs(plan.sum(axis=0) - col_marginal).max() > _MARGINAL_TOL):
-            raise InvariantViolation("coupling marginals are off by > 1e-9")
-        object.__setattr__(self, "plan", plan)
-
-
-def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Exact optimum of the balanced transportation problem; returns
-    (value, plan).  One atom on either side forces the coupling, square
-    uniform instances are assignment problems and the rest go to the LP."""
+def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact optimal value of the balanced transportation problem.  One
+    atom on either side forces the coupling, square uniform instances
+    are assignment problems and the rest go to the LP."""
     m, n = cost.shape
     if m == 1:  # coupling is forced by the column marginal
-        plan = b[None, :].copy()
-        return float(cost[0] @ b), plan
+        return float(cost[0] @ b)
     if n == 1:
-        plan = a[:, None].copy()
-        return float(cost[:, 0] @ a), plan
+        return float(cost[:, 0] @ a)
     if m == n and uniform_weights(a) and uniform_weights(b):
         rows, cols = linear_sum_assignment(cost)
-        plan = np.zeros((m, n))
-        plan[rows, cols] = 1.0 / m
-        return float(cost[rows, cols].sum() / m), plan
+        return float(cost[rows, cols].sum() / m)
     return _solve_lp(cost, a, b)
 
 
-def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Exact optimum of the transportation LP by HiGHS; returns (value, plan)."""
+def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact optimal value of the transportation LP by HiGHS."""
     m, n = cost.shape
     rows = sparse.kron(sparse.eye(m, format="csr"),
                        np.ones((1, n)), format="csr")
@@ -110,7 +86,7 @@ def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     if res.status != 0:
         raise SolverFailure(f"transportation LP failed: {res.message}")
     # costs are nonnegative, so a negative optimum can only be solver noise
-    return max(float(res.fun), 0.0), res.x.reshape(m, n)
+    return max(float(res.fun), 0.0)
 
 
 def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
@@ -119,24 +95,17 @@ def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
         raise DimensionMismatch(
             f"measures live in R^{x.shape[1]} and R^{y.shape[1]}"
         )
-    return _solve_transport(cdist(x, y, "sqeuclidean"), wx, wy)[0]
+    return _solve_transport(cdist(x, y, "sqeuclidean"), wx, wy)
 
 
-def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure,
-               return_plan: bool = False):
+def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W2(mu, nu)^2 via the transportation linear program.
 
-    With ``return_plan=True`` also returns an optimal :class:`Coupling`
-    (which optimal vertex is returned is solver-dependent; only the
-    value is contracted).  On uniform pairs whose optimal couplings tie
-    up to round-off, the assignment route can return a value one ulp
-    above the batched permutation minimum that ``w2_matrix`` stores for
-    the same pair.
+    On uniform pairs whose optimal couplings tie up to round-off, the
+    assignment route can return a value one ulp above the batched
+    permutation minimum that ``w2_matrix`` stores for the same pair.
     """
-    value, plan = _solve_transport(cost_matrix(mu, nu), mu.weights, nu.weights)
-    if not return_plan:
-        return value
-    return value, Coupling(plan, mu.weights, nu.weights)
+    return _solve_transport(cost_matrix(mu, nu), mu.weights, nu.weights)
 
 
 def w2_squared_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -212,6 +212,33 @@ class TestComplete:
         assert json.loads((run_dir / "est0.05.report.json").read_text())[
             "columns"] == 5
 
+    def test_full_dist_replaces_column_plan(self, pipeline_dirs, capsys):
+        tmp_path, data_dir = pipeline_dirs
+        base = tmp_path / "run" / "x"
+        assert run("dist", "--data", data_dir, "--columns", 5,
+                   "--out", base) == 0
+        assert run("dist", "--data", data_dir, "--full", "--out", base) == 0
+        assert not (tmp_path / "run" / "x.plan.json").exists()
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "run" / "x.w2m",
+                   "--out", tmp_path / "run" / "est") == 0
+        report = json.loads((tmp_path / "run" / "est.report.json").read_text())
+        assert report["columns"] == 20
+        truth = load(tmp_path / "run" / "x.w2m")
+        est = load(tmp_path / "run" / "est.w2m")
+        assert relative_error(est, truth) <= 1e-9
+
+        # a partial matrix whose plan is gone cannot be completed
+        assert run("dist", "--data", data_dir, "--columns", 5,
+                   "--out", tmp_path / "run" / "y") == 0
+        (tmp_path / "run" / "y.plan.json").unlink()
+        capsys.readouterr()
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "run" / "y.w2m",
+                   "--out", tmp_path / "run" / "esty") == 1
+        assert "no column plan found" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "esty.w2m").exists()
+
     def test_nystrom_rejects_entry_plan(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--rate", 0.5, "--seed", 5,
@@ -331,6 +358,15 @@ class TestClassify:
             data, [0.5, 1.0], 2,
             StabilityConfig(classifiers=("knn1",), seed=13))
         assert summary["reports"] == [r.to_json() for r in reports]
+
+    def test_unknown_classifier(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("classify", "--synthetic", "classes3:rand24",
+                   "--fractions", "1.0", "--trials", 1,
+                   "--classifiers", "knn1,svm", "--out", tmp_path / "cls") == 1
+        err = capsys.readouterr().err
+        assert err == "wassmatrix: error: unknown classifier 'svm'\n"
+        assert not (tmp_path / "cls").exists()
 
     def test_needs_labels(self, tmp_path, capsys):
         assert run("classify", "--synthetic", "translations:grid3",

@@ -8,7 +8,7 @@ from wassmatrix.errors import (
     SizeMismatch,
     ZeroTruth,
 )
-from wassmatrix.matrixio import load, sanitized_estimate, save, save_csv
+from wassmatrix.matrixio import load, sanitized_estimate, save
 
 
 def random_full(rng, n):
@@ -166,20 +166,6 @@ class TestPersistence:
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load(p)
-
-    def test_csv_export(self, tmp_path):
-        vals = np.zeros((3, 3))
-        vals[0, 1] = vals[1, 0] = 1.5
-        mask = np.eye(3, dtype=bool)
-        mask[0, 1] = mask[1, 0] = True
-        m = DistanceMatrix.partial(vals, mask)
-        p = tmp_path / "m.csv"
-        save_csv(m, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "i,j,value"
-        assert lines[1] == "0,1,1.5"
-        assert lines[2] == "0,2,"  # unobserved serializes empty
-        assert len(lines) == 4
 
 
 class TestRelativeError:

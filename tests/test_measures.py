@@ -5,9 +5,7 @@ from wassmatrix import (
     DiscreteMeasure,
     MeasureDataset,
     measure_from_grid_image,
-    measure_from_image_file,
     synth_dilation_family,
-    synth_shear_family,
     synth_translation_family,
     synthetic_dataset,
     w2_matrix,
@@ -25,7 +23,6 @@ from wassmatrix.errors import (
 from wassmatrix.measures import (
     load_dataset,
     load_measure,
-    read_pixel_grid,
     save_dataset,
     save_measure,
     two_atom_base,
@@ -185,13 +182,6 @@ class TestSyntheticFamilies:
         with pytest.raises(NonpositiveScale):
             synth_dilation_family(two_atom_base(), [1.0, 0.0])
 
-    def test_shear_family(self):
-        data = synth_shear_family(two_atom_base(1.0, center=(0.0, 1.0)),
-                                  [0.0, 1.0])
-        # shear moves the support horizontally by s * y
-        np.testing.assert_allclose(data[1].points[:, 0],
-                                   data[0].points[:, 0] + 1.0)
-
 
 class TestSyntheticSpecs:
     def test_grid_spec(self):
@@ -261,50 +251,17 @@ class TestMeasureFiles:
         save_dataset(data, tmp_path / "ds")
         assert load_dataset(tmp_path / "ds").labels is None
 
+    def test_dataset_repeated_label_index_rejected(self, tmp_path):
+        data = synthetic_dataset("classes3:rand6", 2)
+        save_dataset(data, tmp_path / "ds")
+        with open(tmp_path / "ds" / "labels.csv", "a") as fh:
+            fh.write("0,2\n")
+        with pytest.raises(FormatError, match="index 0 repeated"):
+            load_dataset(tmp_path / "ds")
+
     def test_dataset_label_coverage_checked(self, tmp_path):
         data = synthetic_dataset("classes3:rand9", 2)
         save_dataset(data, tmp_path / "ds")
         (tmp_path / "ds" / "labels.csv").write_text("index,label\n0,1\n")
         with pytest.raises(FormatError):
             load_dataset(tmp_path / "ds")
-
-
-class TestPixelGridFiles:
-    def test_pgm_ascii(self, tmp_path):
-        p = tmp_path / "img.pgm"
-        p.write_text("P2\n# comment\n3 2\n255\n0 10 0\n20 0 30\n")
-        grid = read_pixel_grid(p)
-        np.testing.assert_array_equal(
-            grid, [[0.0, 10.0, 0.0], [20.0, 0.0, 30.0]])
-
-    def test_pgm_binary(self, tmp_path):
-        p = tmp_path / "img.pgm"
-        payload = bytes([0, 10, 0, 20, 0, 30])
-        p.write_bytes(b"P5\n3 2\n255\n" + payload)
-        grid = read_pixel_grid(p)
-        np.testing.assert_array_equal(
-            grid, [[0.0, 10.0, 0.0], [20.0, 0.0, 30.0]])
-
-    def test_pgm_16bit(self, tmp_path):
-        p = tmp_path / "img.pgm"
-        p.write_bytes(b"P5\n1 1\n65535\n" + (1000).to_bytes(2, "big"))
-        assert read_pixel_grid(p)[0, 0] == 1000.0
-
-    def test_pgm_truncated(self, tmp_path):
-        p = tmp_path / "img.pgm"
-        p.write_bytes(b"P5\n3 2\n255\n\x00\x01")
-        with pytest.raises(FormatError):
-            read_pixel_grid(p)
-
-    def test_csv_grid(self, tmp_path):
-        p = tmp_path / "img.csv"
-        p.write_text("0,1.5,0\n2,0,3\n")
-        mu = measure_from_image_file(p)
-        assert mu.num_atoms == 3
-        np.testing.assert_allclose(mu.weights.sum(), 1.0)
-
-    def test_garbage_file(self, tmp_path):
-        p = tmp_path / "img.csv"
-        p.write_text("not;a;grid\n")
-        with pytest.raises(FormatError):
-            read_pixel_grid(p)
