@@ -33,7 +33,6 @@ from .measures import (
 )
 from .nystrom import (
     ColumnBlock,
-    NystromFactor,
     complete_nystrom,
     incoherence,
     procrustes_distance,
@@ -61,7 +60,6 @@ __all__ = [
     "MatrixKind",
     "McConfig",
     "MeasureDataset",
-    "NystromFactor",
     "SamplePlan",
     "Spectrum",
     "SplitPlan",

@@ -13,12 +13,12 @@ sampled column blocks are extracted from it; since every entry is a
 deterministic function of two measures this is numerically identical to
 recomputing each sampled column from scratch.
 
-Trials embed the Nystrom factor directly, in O(N c^2) per trial: a thin
-QR of the centred columns and one c x c eigenproblem give the spectrum
-of B, and no N x N matrix is built.  The factored route embeds the raw
-product C U^+ C^T, the paper's estimator, not the sanitised matrix that
-``complete_nystrom`` returns; the two agree to round-off whenever
-rank(U) = rank(D).
+Trials embed the Nystrom column block directly, in O(N c^2) per trial:
+a thin QR of the centred columns and one c x c eigenproblem give the
+spectrum of B, and no N x N matrix is built.  The factored route embeds
+the raw product C U^+ C^T, the paper's estimator, not the sanitised
+matrix that ``complete_nystrom`` returns; the two agree to round-off
+whenever rank(U) = rank(D).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .embedding import choose_dimension, mds, spectrum
 from .errors import DegenerateClasses, EmptyTrainSet, InvariantViolation
 from .matrixio import DistanceMatrix, freeze
 from .measures import MeasureDataset
-from .nystrom import ColumnBlock, NystromFactor
+from .nystrom import ColumnBlock
 from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
 from .ot import w2_matrix
 from .sampling import sample_columns
@@ -180,7 +180,7 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     n = full.size
     plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
     block = ColumnBlock.from_matrix(full, plan.indices)
-    spec = spectrum(NystromFactor.of(block))
+    spec = spectrum(block)
     if cfg.fixed_dimension is not None:
         dim = min(max(cfg.fixed_dimension, 1), n - 1)
     else:

@@ -44,10 +44,9 @@ from .classify import (
 )
 from .embedding import choose_dimension, mds, save_embedding, spectrum
 from .errors import ConfigError, NumericalError, UsageError
-from .matrixio import MatrixKind
 from .mc import McConfig, complete_mc
 from .measures import load_dataset, save_dataset, synthetic_dataset
-from .nystrom import PINV_TOLERANCE, ColumnBlock, NystromFactor, complete_nystrom
+from .nystrom import PINV_TOLERANCE, ColumnBlock, complete_nystrom
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
 from .seeding import derive_seed
@@ -254,7 +253,7 @@ def cmd_dist(cfg: ExperimentConfig) -> int:
                 else plan.observed_offdiagonal_entries())
     extra = {"size": n, "kind": matrix.kind.name, "observed_entries": observed}
     plan_path = _out_path(cfg.out, ".plan.json")
-    if plan is None:  # complete would read a plan left by an earlier run
+    if plan is None:  # the files at one base describe one run
         plan_path.unlink(missing_ok=True)
     else:
         sampling.save_plan(plan, plan_path)
@@ -272,8 +271,7 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
     _require(cfg.algorithm in ("mc", "nystrom"),
              "--algorithm must be mc or nystrom")
     t0 = time.perf_counter()
-    in_path = Path(cfg.input)
-    matrix = matrixio.load(in_path)
+    matrix = matrixio.load(cfg.input)
     extra = {"algorithm": cfg.algorithm}
     if cfg.algorithm == "mc":
         estimate, report = complete_mc(matrix, cfg.mc_config())
@@ -284,22 +282,15 @@ def cmd_complete(cfg: ExperimentConfig) -> int:
                   f"{report.final_residual:.3g} > {cfg.residual_tolerance:g} "
                   f"after {report.iterations} steps", file=sys.stderr)
     else:
-        plan_path = in_path.with_suffix(".plan.json")
-        if plan_path.exists():
-            plan = sampling.load_plan(plan_path)
-            _require(not plan.is_entries,
-                     "nystrom needs a column plan, found an entry plan")
-            indices = plan.indices
-        else:
-            _require(matrix.kind is MatrixKind.FULL,
-                     f"no column plan found at {plan_path}")
-            indices = np.arange(matrix.size)
-        factor = NystromFactor.of(ColumnBlock.from_matrix(matrix, indices))
-        estimate = complete_nystrom(factor)
+        indices = np.flatnonzero(matrix.mask.all(axis=0))
+        _require(indices.size > 0,
+                 "nystrom needs at least one fully observed column")
+        block = ColumnBlock.from_matrix(matrix, indices)
+        estimate = complete_nystrom(block)
         report_obj = {
-            "columns": int(factor.indices.size),
+            "columns": int(block.indices.size),
             "pinv_tolerance": PINV_TOLERANCE,
-            "core_effective_rank": factor.effective_rank,
+            "core_effective_rank": block.effective_rank,
         }
     w2m = _out_path(cfg.out, ".w2m")
     matrixio.save(estimate, w2m)

@@ -9,7 +9,7 @@ rather than producing imaginary axes.  A fixed sign convention (first
 nonzero eigenvector entry positive) makes output deterministic.
 
 Each input is decomposed once: :func:`spectrum` produces the eigenpairs
-(densely, or from a Nystrom factor in O(N c^2)), and both
+(densely, or from a Nystrom column block in O(N c^2)), and both
 :func:`choose_dimension` and :func:`mds` read them.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionOutOfRange
 from .matrixio import DistanceMatrix
-from .nystrom import NystromFactor
+from .nystrom import ColumnBlock
 
 _SIGN_TOL = 1e-12
 
@@ -103,18 +103,18 @@ def _descending(evals: np.ndarray, evecs: np.ndarray, n: int) -> Spectrum:
     return Spectrum(evals[order], evecs[:, order], n)
 
 
-def spectrum(source: DistanceMatrix | NystromFactor | Spectrum) -> Spectrum:
+def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     """The spectrum of B = -1/2 H D H, decomposed once.
 
     A :class:`DistanceMatrix` takes one dense ``eigh`` of B.  A
-    :class:`NystromFactor` (D = C W C^T) takes the O(N c^2) route: with
-    the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
+    :class:`ColumnBlock` (D = C W C^T, W = U^+) takes the O(N c^2) route:
+    with the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
     eigenproblem gives every nonzero eigenvalue and Q lifts its vectors.
     A :class:`Spectrum` is returned as is.
     """
     if isinstance(source, Spectrum):
         return source
-    if isinstance(source, NystromFactor):
+    if isinstance(source, ColumnBlock):
         columns = source.columns
         q, r = np.linalg.qr(columns - columns.mean(axis=0))
         small = -0.5 * (r @ source.core_pinv @ r.T)
@@ -124,7 +124,7 @@ def spectrum(source: DistanceMatrix | NystromFactor | Spectrum) -> Spectrum:
     return _descending(evals, evecs, source.size)
 
 
-def mds(source: DistanceMatrix | NystromFactor | Spectrum, d: int) -> Embedding:
+def mds(source: DistanceMatrix | ColumnBlock | Spectrum, d: int) -> Embedding:
     """Embed a squared-distance matrix into R^d by classical MDS.
 
     Coordinate column k is v_k * sqrt(max(lambda_k, 0)) for the d
@@ -146,7 +146,7 @@ def mds(source: DistanceMatrix | NystromFactor | Spectrum, d: int) -> Embedding:
                      dimension=d)
 
 
-def choose_dimension(source: DistanceMatrix | NystromFactor | Spectrum,
+def choose_dimension(source: DistanceMatrix | ColumnBlock | Spectrum,
                      energy: float) -> int:
     """Smallest d whose top-d singular values of B reach ``energy`` of
     the total singular-value sum.  B is symmetric, so its singular

@@ -9,9 +9,10 @@ diagonal, symmetrization, negative clamp) so it satisfies the
 distance-matrix invariants.  The product is the estimate: sampled
 rows/columns are not re-imposed on it.
 
-:class:`NystromFactor` keeps the estimate as its factors C and U^+,
-built by the one SVD of the core; ``embedding.spectrum`` embeds it
-directly in O(N c^2) without forming the N x N product.
+:class:`ColumnBlock` keeps the estimate as its factors C and U^+, the
+latter from the one SVD of the core taken when the block is built;
+``embedding.spectrum`` embeds it directly in O(N c^2) without forming
+the N x N product.
 
 Also here: the incoherence diagnostic of the top-r singular subspace
 and the Procrustes alignment distance used to compare embeddings.
@@ -40,11 +41,20 @@ PINV_TOLERANCE = 1e-10  # core singular values below this * sigma_max are cut
 
 @dataclass(frozen=True)
 class ColumnBlock:
-    """Fully observed columns D(:, I) together with their core D(I, I)."""
+    """Fully observed columns D(:, I), their core U = D(I, I) and U^+.
+
+    The one SVD of the core is taken when the block is built:
+    ``core_pinv`` is the pseudoinverse U^+ truncated at
+    ``PINV_TOLERANCE``, ``core_singular_values`` the core's spectrum and
+    ``effective_rank`` the number of singular values U^+ keeps.
+    """
 
     columns: np.ndarray
     indices: np.ndarray
     core: np.ndarray
+    core_pinv: np.ndarray
+    core_singular_values: np.ndarray
+    effective_rank: int
 
     def __init__(self, columns, indices):
         columns = np.array(columns, dtype=np.float64)
@@ -64,9 +74,15 @@ class ColumnBlock:
             raise InvariantViolation("core must be symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
+        if not np.any(core) and np.any(columns):
+            raise DegenerateCore("core block is identically zero")
+        pinv, sigma, rank = _truncated_svd_pinv(core, PINV_TOLERANCE)
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
         object.__setattr__(self, "core", freeze(core))
+        object.__setattr__(self, "core_pinv", freeze(pinv))
+        object.__setattr__(self, "core_singular_values", freeze(sigma))
+        object.__setattr__(self, "effective_rank", rank)
 
     @property
     def size(self) -> int:
@@ -90,6 +106,10 @@ class ColumnBlock:
             raise InvariantViolation("matrix does not observe all requested columns")
         return ColumnBlock(matrix.values[:, indices], indices)
 
+    def product(self) -> np.ndarray:
+        """Dense N x N product (C U^+) C^T, unsanitized."""
+        return (self.columns @ self.core_pinv) @ self.columns.T
+
 
 def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
     """Truncated pseudoinverse, singular values and effective rank of one SVD."""
@@ -101,47 +121,9 @@ def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
     return (vt.T * inv) @ u.T, s, int(keep.sum())
 
 
-@dataclass(frozen=True)
-class NystromFactor:
-    """The rank-<=c estimate C U^+ C^T kept as its factors.
-
-    Built by the one SVD of the core U: ``core_pinv`` is the
-    pseudoinverse W = U^+ truncated at ``PINV_TOLERANCE``,
-    ``core_singular_values`` the core's spectrum and ``effective_rank``
-    the number of singular values W keeps.
-    """
-
-    columns: np.ndarray
-    indices: np.ndarray
-    core_pinv: np.ndarray
-    core_singular_values: np.ndarray
-    effective_rank: int
-
-    @staticmethod
-    def of(block: ColumnBlock) -> "NystromFactor":
-        if not np.any(block.core) and np.any(block.columns):
-            raise DegenerateCore("core block is identically zero")
-        pinv, sigma, rank = _truncated_svd_pinv(block.core, PINV_TOLERANCE)
-        return NystromFactor(block.columns, block.indices, freeze(pinv),
-                             freeze(sigma), rank)
-
-    @property
-    def size(self) -> int:
-        return self.columns.shape[0]
-
-    def product(self) -> np.ndarray:
-        """Dense N x N product (C W) C^T, unsanitized."""
-        return (self.columns @ self.core_pinv) @ self.columns.T
-
-
-def complete_nystrom(block: ColumnBlock | NystromFactor) -> DistanceMatrix:
-    """Sanitized Nystrom estimate C U^+ C^T from a column block.
-
-    A :class:`NystromFactor` already built from the block may be passed
-    instead, so its core is not decomposed again.
-    """
-    factor = block if isinstance(block, NystromFactor) else NystromFactor.of(block)
-    return sanitized_estimate(factor.product())
+def complete_nystrom(block: ColumnBlock) -> DistanceMatrix:
+    """Sanitized Nystrom estimate C U^+ C^T from a column block."""
+    return sanitized_estimate(block.product())
 
 
 def incoherence(matrix: DistanceMatrix, r: int) -> float:

@@ -2,8 +2,9 @@
 
 ``w2_squared`` solves the transportation linear program exactly: uniform
 measures with equal atom counts reduce to an assignment problem (solved
-by scipy's exact Jonker-Volgenant implementation); everything else goes
-through the HiGHS simplex LP solver.  Two independent routes exist for
+by the permutation minimum below up to 4 atoms, beyond that by scipy's
+exact Jonker-Volgenant implementation); everything else goes through the
+HiGHS simplex LP solver.  Two independent routes exist for
 testing: a permutation brute force for small uniform instances and the
 sorted-quantile closed form for measures on the line.
 
@@ -54,16 +55,34 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return cdist(mu.points, nu.points, "sqeuclidean")
 
 
+def _vertex_minimum(cost: np.ndarray) -> np.ndarray:
+    """Exact W2^2 of uniform pairs from their (B, m, m) squared costs: the
+    minimum over all m! permutation couplings, each summed over rows in
+    index order."""
+    m = cost.shape[1]
+    best = np.full(cost.shape[0], np.inf)
+    for perm in itertools.permutations(range(m)):
+        total = cost[:, 0, perm[0]].copy()
+        for r in range(1, m):
+            total += cost[:, r, perm[r]]
+        np.minimum(best, total, out=best)
+    return best / m
+
+
 def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact optimal value of the balanced transportation problem.  One
     atom on either side forces the coupling, square uniform instances
-    are assignment problems and the rest go to the LP."""
+    are assignment problems (up to ``_BATCH_MAX_ATOMS`` atoms solved by
+    the permutation minimum ``w2_matrix`` batches) and the rest go to
+    the LP."""
     m, n = cost.shape
     if m == 1:  # coupling is forced by the column marginal
         return float(cost[0] @ b)
     if n == 1:
         return float(cost[:, 0] @ a)
     if m == n and uniform_weights(a) and uniform_weights(b):
+        if m <= _BATCH_MAX_ATOMS:
+            return float(_vertex_minimum(cost[None])[0])
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / m)
     return _solve_lp(cost, a, b)
@@ -99,12 +118,7 @@ def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
 
 
 def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact W2(mu, nu)^2 via the transportation linear program.
-
-    On uniform pairs whose optimal couplings tie up to round-off, the
-    assignment route can return a value one ulp above the batched
-    permutation minimum that ``w2_matrix`` stores for the same pair.
-    """
+    """Exact W2(mu, nu)^2 via the transportation linear program."""
     return _solve_transport(cost_matrix(mu, nu), mu.weights, nu.weights)
 
 
@@ -160,22 +174,13 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact W2^2 of the uniform m-atom pairs (x[b], y[b]), x and y (B, m, d).
 
-    Builds each pair's squared-cost matrix and takes the minimum over all
-    m! permutation couplings.  Costs are summed over coordinates and then
-    over rows in index order, as cdist and the assignment route sum them.
+    Costs are summed over coordinates in index order, as cdist sums them.
     """
     cost = np.zeros((x.shape[0], x.shape[1], y.shape[1]))
     for k in range(x.shape[2]):
         gap = x[:, :, None, k] - y[:, None, :, k]
         cost += gap * gap
-    m = x.shape[1]
-    best = np.full(x.shape[0], np.inf)
-    for perm in itertools.permutations(range(m)):
-        total = cost[:, 0, perm[0]].copy()
-        for r in range(1, m):
-            total += cost[:, r, perm[r]]
-        np.minimum(best, total, out=best)
-    return best / m
+    return _vertex_minimum(cost)
 
 
 def _solve_batched(data: MeasureDataset, pairs: np.ndarray,

@@ -141,6 +141,8 @@ def budget_to_columns(n: int, rate: float) -> int:
     (the full matrix) even though N-1 columns already touch every
     off-diagonal entry.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
     if rate == 1.0:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ class TestBudget:
 
     def test_missing_args(self, capsys):
         assert run("budget", "--n", 100) == 1
+
+    def test_size_below_one_rejected(self, capsys):
+        assert run("budget", "--n", -5, "--rate", 0.1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "wassmatrix: error: need n >= 1, got -5\n"
 
 
 class TestSynthAndDist:
@@ -228,16 +235,20 @@ class TestComplete:
         est = load(tmp_path / "run" / "est.w2m")
         assert relative_error(est, truth) <= 1e-9
 
-        # a partial matrix whose plan is gone cannot be completed
+        # a partial matrix completes from its mask, with or without its plan
         assert run("dist", "--data", data_dir, "--columns", 5,
                    "--out", tmp_path / "run" / "y") == 0
-        (tmp_path / "run" / "y.plan.json").unlink()
-        capsys.readouterr()
-        assert run("complete", "--algorithm", "nystrom",
-                   "--input", tmp_path / "run" / "y.w2m",
-                   "--out", tmp_path / "run" / "esty") == 1
-        assert "no column plan found" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "esty.w2m").exists()
+        estimates = []
+        for name in ("with_plan", "without_plan"):
+            assert run("complete", "--algorithm", "nystrom",
+                       "--input", tmp_path / "run" / "y.w2m",
+                       "--out", tmp_path / "run" / name) == 0
+            report = json.loads(
+                (tmp_path / "run" / f"{name}.report.json").read_text())
+            assert report["columns"] == 5
+            estimates.append((tmp_path / "run" / f"{name}.w2m").read_bytes())
+            (tmp_path / "run" / "y.plan.json").unlink(missing_ok=True)
+        assert estimates[0] == estimates[1]
 
     def test_nystrom_rejects_entry_plan(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
@@ -246,6 +257,8 @@ class TestComplete:
         assert run("complete", "--algorithm", "nystrom",
                    "--input", tmp_path / "ent2.w2m",
                    "--out", tmp_path / "bad") == 1
+        assert (capsys.readouterr().err == "wassmatrix: error: nystrom needs "
+                "at least one fully observed column\n")
 
 
 class TestRemovedOptions:
@@ -414,11 +427,18 @@ class TestConfigHandling:
         assert run("budget", "--frobnicate", "1") == 1
 
     def test_entry_point_module(self):
+        import os
         import subprocess
         import sys
+        import wassmatrix
+        # the subprocess imports the same package, installed or not
+        src = str(Path(wassmatrix.__file__).parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run(
             [sys.executable, "-m", "wassmatrix", "budget",
              "--n", "2000", "--rate", "0.05"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "51"

@@ -7,7 +7,6 @@ import scipy.linalg
 from wassmatrix import (
     ColumnBlock,
     DistanceMatrix,
-    NystromFactor,
     Spectrum,
     choose_dimension,
     complete_nystrom,
@@ -207,7 +206,7 @@ def rank5_blocks():
 class TestFactoredSpectrum:
     def test_agrees_with_dense_route_on_rank5_fixtures(self, rank5_blocks):
         for block in rank5_blocks:
-            factored = spectrum(NystromFactor.of(block))
+            factored = spectrum(block)
             dense = spectrum(complete_nystrom(block))
             assert factored.eigenvalues.size == block.count
             assert dense.eigenvalues.size == block.size
@@ -224,14 +223,14 @@ class TestFactoredSpectrum:
 
     def test_dimension_beyond_columns_gives_zero_columns(self, rank5_blocks):
         block = rank5_blocks[0]
-        emb = mds(spectrum(NystromFactor.of(block)), 2 * block.count)
+        emb = mds(spectrum(block), 2 * block.count)
         assert emb.coords.shape == (block.size, 2 * block.count)
         np.testing.assert_array_equal(emb.coords[:, block.count:], 0.0)
         top = np.abs(emb.coords[:, :3]).max()
         assert np.abs(emb.coords[:, 3:]).max() <= 1e-6 * top  # rank of B is 3
 
     def test_spectrum_passes_through(self, rank5_blocks):
-        spec = spectrum(NystromFactor.of(rank5_blocks[0]))
+        spec = spectrum(rank5_blocks[0])
         assert spectrum(spec) is spec
 
     def test_rounding_short_of_energy_needs_all_n(self):
@@ -261,9 +260,8 @@ class TestFactoredSpectrum:
         n = 40
         block = ColumnBlock.from_matrix(
             DistanceMatrix.estimated(non_euclidean(n, 64)), np.arange(20))
-        factor = NystromFactor.of(block)
-        raw = factor.product()  # the matrix the factored route embeds
-        spec = spectrum(factor)
+        raw = block.product()  # the matrix the factored route embeds
+        spec = spectrum(block)
         lam = np.sort(np.linalg.eigvalsh(double_center(0.5 * (raw + raw.T))))[::-1]
         scale = np.abs(lam).max()
         assert np.abs(lam[lam < 0]).max() > lam[lam > 1e-9 * scale].min()

@@ -4,7 +4,6 @@ import pytest
 from wassmatrix import (
     ColumnBlock,
     DistanceMatrix,
-    NystromFactor,
     complete_nystrom,
     incoherence,
     mds,
@@ -45,9 +44,10 @@ class TestColumnBlock:
         vals = edm_of(np.arange(4.0)[:, None])
         mask = np.eye(4, dtype=bool)
         mask[:, 0] = mask[0, :] = True
+        mask[:, 1] = mask[1, :] = True
         part = DistanceMatrix.partial(np.where(mask, vals, 0.0), mask)
-        block = ColumnBlock.from_matrix(part, [0])
-        assert block.count == 1
+        block = ColumnBlock.from_matrix(part, [0, 1])
+        assert block.count == 2
         with pytest.raises(InvariantViolation):
             ColumnBlock.from_matrix(part, [0, 2])
 
@@ -71,6 +71,8 @@ class TestTruncatedPinv:
 
 
 class TestNystromFactor:
+    """The factored estimate C U^+ C^T that a ColumnBlock carries."""
+
     def noisy_block(self, seed, idx):
         rng = np.random.default_rng(seed)
         vals = edm_of(rng.normal(size=(14, 3)))
@@ -81,38 +83,29 @@ class TestNystromFactor:
 
     def test_one_svd_gives_pinv_spectrum_and_rank(self):
         block = self.noisy_block(26, [0, 3, 5, 9, 12])
-        factor = NystromFactor.of(block)
         pinv = _truncated_svd_pinv(block.core, PINV_TOLERANCE)[0]
-        np.testing.assert_array_equal(factor.core_pinv, pinv)
+        np.testing.assert_array_equal(block.core_pinv, pinv)
         sigma = np.linalg.svd(block.core, compute_uv=False)
-        np.testing.assert_allclose(factor.core_singular_values, sigma,
+        np.testing.assert_allclose(block.core_singular_values, sigma,
                                    rtol=1e-12)
-        assert factor.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
-        np.testing.assert_array_equal(factor.product(),
+        assert block.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
+        np.testing.assert_array_equal(block.product(),
                                       block.columns @ pinv @ block.columns.T)
 
     def test_truncation_sets_effective_rank(self):
         rng = np.random.default_rng(27)
         full = DistanceMatrix.full(edm_of(rng.normal(size=(20, 2))))
-        factor = NystromFactor.of(ColumnBlock.from_matrix(full, np.arange(8)))
-        assert factor.effective_rank == 4  # rank of a planar EDM
-
-    def test_completing_a_factor_equals_completing_its_block(self):
-        block = self.noisy_block(28, [1, 4, 7, 10])
-        factor = NystromFactor.of(block)
-        a = complete_nystrom(block)
-        b = complete_nystrom(factor)
-        assert a.values.tobytes() == b.values.tobytes()
+        block = ColumnBlock.from_matrix(full, np.arange(8))
+        assert block.effective_rank == 4  # rank of a planar EDM
 
     def test_degenerate_core(self):
-        block = ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0])
         with pytest.raises(DegenerateCore):
-            NystromFactor.of(block)
+            ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0])
 
     def test_factors_are_read_only(self):
-        factor = NystromFactor.of(self.noisy_block(29, [2, 6, 11]))
+        block = self.noisy_block(29, [2, 6, 11])
         with pytest.raises(ValueError):
-            factor.core_pinv[0, 0] = 1.0
+            block.core_pinv[0, 0] = 1.0
 
 
 class TestCompleteNystrom:
@@ -150,9 +143,8 @@ class TestCompleteNystrom:
 
     def test_degenerate_core(self):
         columns = np.array([[0.0], [4.0], [9.0]])  # core = [[0]]
-        block = ColumnBlock(columns, [0])
         with pytest.raises(DegenerateCore):
-            complete_nystrom(block)
+            complete_nystrom(ColumnBlock(columns, [0]))
 
     def test_output_invariants(self):
         rng = np.random.default_rng(24)

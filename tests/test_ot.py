@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from wassmatrix import (
     DiscreteMeasure,
@@ -174,6 +175,13 @@ def batched_matrix(data, monkeypatch):
         return w2_matrix(data).values
 
 
+def assignment_value(mu, nu):
+    """W2^2 of a uniform square pair by the assignment solver alone."""
+    cost = ot.cost_matrix(mu, nu)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum() / mu.num_atoms)
+
+
 class TestBatchedRoute:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -183,7 +191,8 @@ class TestBatchedRoute:
         vals = batched_matrix(data, monkeypatch)
         for i, j in zip(*np.triu_indices(len(data), k=1)):
             mu, nu = data[int(i)], data[int(j)]
-            assert vals[i, j] == w2_squared(mu, nu)  # same bits as the LSA
+            assert vals[i, j] == w2_squared(mu, nu)
+            assert vals[i, j] == assignment_value(mu, nu)
             assert abs(vals[i, j] - w2_squared_bruteforce(mu, nu)) <= 1e-12
             if dim == 1:
                 assert abs(vals[i, j] - w2_squared_1d(mu, nu)) <= 1e-9
@@ -202,7 +211,9 @@ class TestBatchedRoute:
         data = MeasureDataset(measures)
         vals = batched_matrix(data, monkeypatch)
         for i, j in zip(*np.triu_indices(len(data), k=1)):
-            assert vals[i, j] == w2_squared(data[int(i)], data[int(j)])
+            mu, nu = data[int(i)], data[int(j)]
+            assert vals[i, j] == w2_squared(mu, nu)
+            assert vals[i, j] == assignment_value(mu, nu)
 
     def test_near_ties_take_the_smaller_vertex(self, monkeypatch):
         # every cross pair t + u vs s + v has several optimal couplings
@@ -220,9 +231,10 @@ class TestBatchedRoute:
             vals = batched_matrix(data, monkeypatch)
             for i, j in zip(*np.triu_indices(len(data), k=1)):
                 mu, nu = data[int(i)], data[int(j)]
-                lsa = w2_squared(mu, nu)
+                lsa = assignment_value(mu, nu)
                 assert vals[i, j] == w2_squared_bruteforce(mu, nu)
                 assert vals[i, j] <= lsa <= vals[i, j] * (1 + 1e-12)
+                assert vals[i, j] == w2_squared(mu, nu)
 
 
 class TestW2Matrix:
@@ -257,18 +269,28 @@ class TestW2Matrix:
         assert not part.mask[0, 1]
 
     def test_column_plan_masks_rows_and_columns(self):
+        # the fully observed columns of a column-plan matrix are exactly
+        # the plan's columns, until N-1 columns cover every entry
+        n = 10
         data = synth_translation_family(
-            two_atom_base(), np.arange(6.0)[:, None] * [[1.0, 0.0]])
-        plan = sample_columns(6, 2, seed=5)
-        part = w2_matrix(data, plan)
-        for j in plan.indices:
-            assert part.mask[:, j].all()
-            assert part.mask[j, :].all()
-        off = np.ones((6, 6), bool)
-        off[:, plan.indices] = False
-        off[plan.indices, :] = False
-        np.fill_diagonal(off, False)
-        assert not part.mask[off].any()
+            two_atom_base(), np.arange(float(n))[:, None] * [[1.0, 0.0]])
+        for c in range(1, n):
+            plan = sample_columns(n, c, seed=5)
+            part = w2_matrix(data, plan)
+            for j in plan.indices:
+                assert part.mask[:, j].all()
+                assert part.mask[j, :].all()
+            off = np.ones((n, n), bool)
+            off[:, plan.indices] = False
+            off[plan.indices, :] = False
+            np.fill_diagonal(off, False)
+            assert not part.mask[off].any()
+            if c <= n - 2:
+                assert part.kind is MatrixKind.PARTIAL
+                np.testing.assert_array_equal(
+                    np.flatnonzero(part.mask.all(axis=0)), plan.indices)
+            else:
+                assert part.kind is MatrixKind.FULL
 
     def test_entry_rate_plan_counts(self):
         data = synth_translation_family(

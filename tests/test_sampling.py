@@ -146,6 +146,11 @@ class TestBudgetToColumns:
     def test_rate_validated(self):
         with pytest.raises(ValueError):
             budget_to_columns(100, 0.0)
+        for n in (0, -5):
+            for rate in (0.1, 1.0):
+                with pytest.raises(ValueError, match="n >= 1"):
+                    budget_to_columns(n, rate)
+        assert budget_to_columns(1, 0.1) == 1
 
     def test_root_bracketing_property(self):
         # the returned c is within one step of the exact budget crossing:
