@@ -95,15 +95,17 @@ class ExperimentConfig:
     out: str | None = None
 
     def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, int(self.workers))
-        env = os.environ.get("WASSMATRIX_WORKERS", "").strip()
-        if env:
-            try:
-                return max(1, int(env))
-            except ValueError as exc:
-                raise ConfigError(f"bad WASSMATRIX_WORKERS value {env!r}") from exc
-        return 1
+        source, value = "--workers", self.workers
+        if value is None:
+            source = "WASSMATRIX_WORKERS"
+            value = os.environ.get(source, "").strip() or 1
+        try:
+            workers = int(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad {source} value {value!r}") from exc
+        if workers < 1:
+            raise ConfigError(f"{source} must be >= 1, got {workers}")
+        return workers
 
     def mc_config(self) -> McConfig:
         return McConfig(

@@ -4,9 +4,9 @@
 measures with equal atom counts reduce to an assignment problem (solved
 by the permutation minimum below up to 4 atoms, beyond that by scipy's
 exact Jonker-Volgenant implementation); everything else goes through the
-HiGHS simplex LP solver.  Two independent routes exist for
-testing: a permutation brute force for small uniform instances and the
-sorted-quantile closed form for measures on the line.
+LP, solved by HiGHS dual simplex, no presolve.  Two independent routes
+exist for testing: a permutation brute force for small uniform
+instances and the sorted-quantile closed form for measures on the line.
 
 ``w2_matrix`` assembles the N x N matrix D_ij = W2(mu_i, mu_j)^2 for a
 dataset, either in full or restricted to a sample plan (entry set or
@@ -88,19 +88,28 @@ def _solve_transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return _solve_lp(cost, a, b)
 
 
+def _marginal_matrix(m: int, n: int) -> sparse.csc_matrix:
+    """(m + n) x mn marginal constraints of the transportation LP, built
+    directly as CSC: column i*n + j (the flow from atom i to atom j) has
+    ones in row i and row m + j."""
+    i, j = np.divmod(np.arange(m * n), n)
+    return sparse.csc_matrix(
+        (np.ones(2 * m * n), np.column_stack([i, m + j]).ravel(),
+         np.arange(0, 2 * m * n + 1, 2)), shape=(m + n, m * n))
+
+
 def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Exact optimal value of the transportation LP by HiGHS."""
+    """Exact optimal value of the transportation LP by HiGHS dual
+    simplex, no presolve.  The LP has only m + n equality rows, which
+    the dual simplex handles directly; presolve only adds time."""
     m, n = cost.shape
-    rows = sparse.kron(sparse.eye(m, format="csr"),
-                       np.ones((1, n)), format="csr")
-    cols = sparse.kron(np.ones((1, m)),
-                       sparse.eye(n, format="csr"), format="csr")
     res = linprog(
         cost.ravel(),
-        A_eq=sparse.vstack([rows, cols], format="csr"),
+        A_eq=_marginal_matrix(m, n),
         b_eq=np.concatenate([a, b]),
         bounds=(0, None),
-        method="highs",
+        method="highs-ds",
+        options={"presolve": False},
     )
     if res.status != 0:
         raise SolverFailure(f"transportation LP failed: {res.message}")

@@ -419,6 +419,27 @@ class TestConfigHandling:
         assert run("dist", "--data", data_dir, "--full",
                    "--out", tmp_path / "env2") == 1
 
+    @pytest.mark.parametrize("flag, env, message", [
+        ("0", None, "--workers must be >= 1, got 0"),
+        ("-3", None, "--workers must be >= 1, got -3"),
+        (None, "0", "WASSMATRIX_WORKERS must be >= 1, got 0"),
+    ])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch,
+                                        flag, env, message):
+        monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("WASSMATRIX_WORKERS", env)
+        workers = [] if flag is None else ["--workers", flag]
+        assert run("dist", "--synthetic", "translations:rand10", "--full",
+                   *workers, "--out", tmp_path / "d") == 1
+        assert run("classify", "--synthetic", "classes3:rand30",
+                   "--fractions", "1.0", "--trials", 1, *workers,
+                   "--out", tmp_path / "cls") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 2 * f"wassmatrix: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_input_file(self, tmp_path, capsys):
         assert run("embed", "--input", tmp_path / "absent.w2m",
                    "--out", tmp_path / "e.csv") == 1

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 
 from wassmatrix import (
     DiscreteMeasure,
     MatrixKind,
     MeasureDataset,
+    measure_from_grid_image,
     sample_columns,
     sample_entries,
     synth_translation_family,
@@ -235,6 +237,69 @@ class TestBatchedRoute:
                 assert vals[i, j] == w2_squared_bruteforce(mu, nu)
                 assert vals[i, j] <= lsa <= vals[i, j] * (1 + 1e-12)
                 assert vals[i, j] == w2_squared(mu, nu)
+
+
+def kron_marginal_matrix(m, n):
+    """The marginal constraints built from Kronecker products, as
+    ``_solve_lp`` once built them."""
+    rows = sparse.kron(sparse.eye(m, format="csr"), np.ones((1, n)),
+                       format="csr")
+    cols = sparse.kron(np.ones((1, m)), sparse.eye(n, format="csr"),
+                       format="csr")
+    return sparse.vstack([rows, cols], format="csr")
+
+
+def lp_value(mu, nu):
+    return ot._solve_lp(ot.cost_matrix(mu, nu), mu.weights, nu.weights)
+
+
+def pixel_measure(rng, atoms, side=12):
+    """Non-uniform measure on ``atoms`` pixels of a side x side grid."""
+    img = np.zeros(side * side)
+    img[rng.choice(side * side, atoms, replace=False)] = rng.integers(
+        1, 256, size=atoms)
+    return measure_from_grid_image(img.reshape(side, side))
+
+
+class TestLinearProgram:
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (3, 1), (2, 3), (7, 5),
+                                      (60, 60)])
+    def test_marginal_matrix_matches_kron_build(self, m, n):
+        built = ot._marginal_matrix(m, n)
+        assert built.format == "csc"
+        assert built.shape == (m + n, m * n)
+        np.testing.assert_array_equal(built.toarray(),
+                                      kron_marginal_matrix(m, n).toarray())
+
+    def test_matches_quantile_form_on_the_line(self):
+        rng = np.random.default_rng(400)
+        for _ in range(12):
+            m, n = rng.choice(np.arange(40, 81), size=2, replace=False)
+            mu = DiscreteMeasure(rng.normal(size=m) * 2, rng.random(m) + 0.05)
+            nu = DiscreteMeasure(rng.normal(size=n) * 2 + 1,
+                                 rng.random(n) + 0.05)
+            assert abs(lp_value(mu, nu) - w2_squared_1d(mu, nu)) <= 1e-9
+
+    def test_matches_assignment_on_uniform_squares(self):
+        rng = np.random.default_rng(401)
+        for m in range(5, 31, 5):
+            for _ in range(3):
+                w = np.full(m, 1.0 / m)
+                mu = DiscreteMeasure(rng.normal(size=(m, 2)) * 3, w)
+                nu = DiscreteMeasure(rng.normal(size=(m, 2)) * 3, w)
+                lsa = assignment_value(mu, nu)
+                assert abs(lp_value(mu, nu) - lsa) <= 1e-12 * lsa
+
+    def test_integer_shift_of_pixel_measure(self):
+        # W2^2(mu, mu + t) = |t|^2; integer coordinates make the LP
+        # highly degenerate
+        rng = np.random.default_rng(402)
+        for atoms in (30, 45, 60):
+            for _ in range(3):
+                mu = pixel_measure(rng, atoms)
+                t = rng.integers(-6, 7, size=2).astype(float)
+                nu = mu.translated(t)
+                assert abs(lp_value(mu, nu) - t @ t) <= 1e-12 * max(t @ t, 1)
 
 
 class TestW2Matrix:
