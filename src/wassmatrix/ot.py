@@ -4,8 +4,10 @@
 measures with equal atom counts reduce to an assignment problem (solved
 by the permutation minimum below up to 4 atoms, beyond that by scipy's
 exact Jonker-Volgenant implementation); everything else goes through the
-LP, solved by HiGHS dual simplex, no presolve.  Two independent routes
-exist for testing: a permutation brute force for small uniform
+LP, solved by HiGHS dual simplex, no presolve.  HiGHS is called through
+the binding scipy bundles with it (``scipy.optimize._highspy``); only a
+scipy without that binding goes through ``linprog``.  Two independent
+routes exist for testing: a permutation brute force for small uniform
 instances and the sorted-quantile closed form for measures on the line.
 
 ``w2_matrix`` assembles the N x N matrix D_ij = W2(mu_i, mu_j)^2 for a
@@ -28,6 +30,11 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
+
+try:  # scipy >= 1.15 bundles its HiGHS binding; linprog loads it anyway
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
 
 from .errors import (
     DimensionMismatch,
@@ -101,20 +108,49 @@ def _marginal_matrix(m: int, n: int) -> sparse.csc_matrix:
 def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Exact optimal value of the transportation LP by HiGHS dual
     simplex, no presolve.  The LP has only m + n equality rows, which
-    the dual simplex handles directly; presolve only adds time."""
+    the dual simplex handles directly; presolve only adds time.  HiGHS
+    is called through scipy's bundled binding, which skips the input
+    checks and the per-column dual bookkeeping of ``linprog``; the same
+    solver options give the same optimum to the bit.  ``linprog`` is
+    used only where the binding is missing."""
     m, n = cost.shape
-    res = linprog(
-        cost.ravel(),
-        A_eq=_marginal_matrix(m, n),
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs-ds",
-        options={"presolve": False},
-    )
-    if res.status != 0:
-        raise SolverFailure(f"transportation LP failed: {res.message}")
+    matrix = _marginal_matrix(m, n)
+    rows = np.concatenate([a, b])
+    if _highs is None:
+        res = linprog(cost.ravel(), A_eq=matrix, b_eq=rows, bounds=(0, None),
+                      method="highs-ds", options={"presolve": False})
+        if res.status != 0:
+            raise SolverFailure(f"transportation LP failed: {res.message}")
+        fun = res.fun
+    else:
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = m * n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m + n
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = matrix.indptr
+        lp.a_matrix_.index_ = matrix.indices
+        lp.a_matrix_.value_ = matrix.data
+        lp.col_cost_ = cost.ravel()
+        lp.col_lower_ = np.zeros(m * n)
+        lp.col_upper_ = np.full(m * n, np.inf)
+        lp.row_lower_ = lp.row_upper_ = rows
+        options = _highs.HighsOptions()
+        options.presolve = "off"
+        options.solver = "simplex"
+        options.simplex_strategy = (
+            _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options.output_flag = options.log_to_console = False
+        solver = _highs._Highs()
+        solver.passOptions(options)
+        solver.passModel(lp)
+        failed = solver.run() == _highs.HighsStatus.kError
+        status = solver.getModelStatus()
+        if failed or status != _highs.HighsModelStatus.kOptimal:
+            raise SolverFailure("transportation LP failed: "
+                                + solver.modelStatusToString(status))
+        fun = solver.getInfo().objective_function_value
     # costs are nonnegative, so a negative optimum can only be solver noise
-    return max(float(res.fun), 0.0)
+    return max(float(fun), 0.0)
 
 
 def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,

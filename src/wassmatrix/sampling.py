@@ -44,9 +44,9 @@ class SamplePlan:
         if variant == ENTRIES:
             if idx.ndim != 2 or idx.shape[1] != 2:
                 raise InvariantViolation("entry plan needs an (m, 2) index array")
-            if np.any(idx[:, 0] >= idx[:, 1]):
+            if (idx[:, 0] >= idx[:, 1]).any():
                 raise InvariantViolation("entry pairs must satisfy i < j")
-            if np.any(idx < 0) or np.any(idx >= size):
+            if (idx < 0).any() or (idx >= size).any():
                 raise InvariantViolation("entry index out of range")
             flat = idx[:, 0] * size + idx[:, 1]
             if np.unique(flat).size != flat.size:
@@ -54,7 +54,7 @@ class SamplePlan:
         else:
             if idx.ndim != 1:
                 raise InvariantViolation("column plan needs a 1-D index array")
-            if np.any(idx < 0) or np.any(idx >= size):
+            if (idx < 0).any() or (idx >= size).any():
                 raise InvariantViolation("column index out of range")
             if np.unique(idx).size != idx.size:
                 raise InvariantViolation("duplicate column indices")
@@ -120,8 +120,13 @@ def sample_entries(n: int, rate: float, seed: int) -> SamplePlan:
     rng = np.random.default_rng(seed)
     sel = rng.choice(total, size=count, replace=False)
     sel.sort()
-    iu, ju = np.triu_indices(n, k=1)
-    return SamplePlan(ENTRIES, np.column_stack([iu[sel], ju[sel]]), seed, n)
+    # flat index k is pair (i, j) of the row-major strict upper triangle,
+    # whose row i starts at k = i(2N - i - 1)/2
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, sel, side="right") - 1
+    return SamplePlan(ENTRIES, np.column_stack([i, sel - starts[i] + i + 1]),
+                      seed, n)
 
 
 def sample_columns(n: int, c: int, seed: int) -> SamplePlan:

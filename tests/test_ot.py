@@ -1,9 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, linprog
 
 from wassmatrix import (
     DiscreteMeasure,
@@ -36,6 +37,31 @@ def random_uniform_pair(rng, max_atoms=6, max_dim=3):
     mu = DiscreteMeasure(rng.normal(size=(m, dim)) * 3, w)
     nu = DiscreteMeasure(rng.normal(size=(m, dim)) * 3, w)
     return mu, nu
+
+
+def fail_the_lp(monkeypatch, calls):
+    """Make the HiGHS call ``ot._solve_lp`` takes report an infeasible
+    model, appending to ``calls`` once per solve."""
+    real = ot._highs
+    if real is None:
+        def failing_linprog(*_args, **_kwargs):
+            calls.append(1)
+            return SimpleNamespace(status=2, message="infeasible", fun=None,
+                                   x=None)
+
+        monkeypatch.setattr(ot, "linprog", failing_linprog)
+        return
+
+    class FailingHighs(real._Highs):
+        def run(self):
+            calls.append(1)
+            return real.HighsStatus.kError
+
+        def getModelStatus(self):
+            return real.HighsModelStatus.kInfeasible
+
+    binding = {**vars(real), "_Highs": FailingHighs}
+    monkeypatch.setattr(ot, "_highs", SimpleNamespace(**binding))
 
 
 def random_1d_pair(rng, max_atoms=20):
@@ -80,21 +106,14 @@ class TestW2Squared:
 
     def test_lp_failure_raises_solver_failure(self, tmp_path, capsys,
                                               monkeypatch):
-        from types import SimpleNamespace
         from wassmatrix.cli import main
         from wassmatrix.measures import save_dataset
 
         calls = []
-
-        def failing_linprog(*_args, **_kwargs):
-            calls.append(1)
-            return SimpleNamespace(status=2, message="infeasible", fun=None,
-                                   x=None)
-
-        monkeypatch.setattr(ot, "linprog", failing_linprog)
+        fail_the_lp(monkeypatch, calls)
         mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.3, 0.7])
         nu = DiscreteMeasure([[0.0, 1.0], [2.0, 1.0]], [0.6, 0.4])
-        with pytest.raises(SolverFailure, match="infeasible"):
+        with pytest.raises(SolverFailure, match="(?i)infeasible"):
             w2_squared(mu, nu)
         assert len(calls) == 1  # the non-uniform pair took the LP path
 
@@ -173,7 +192,7 @@ def batched_matrix(data, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(ot, "linear_sum_assignment", no_solve)
-        mp.setattr(ot, "linprog", no_solve)
+        mp.setattr(ot, "_solve_lp", no_solve)
         return w2_matrix(data).values
 
 
@@ -261,6 +280,61 @@ def pixel_measure(rng, atoms, side=12):
     return measure_from_grid_image(img.reshape(side, side))
 
 
+def linprog_value(cost, a, b):
+    """The transportation LP through scipy's public ``linprog``, with the
+    solver options ``_solve_lp`` passes HiGHS: dual simplex, no presolve."""
+    m, n = cost.shape
+    res = linprog(cost.ravel(), A_eq=kron_marginal_matrix(m, n),
+                  b_eq=np.concatenate([a, b]), bounds=(0, None),
+                  method="highs-ds", options={"presolve": False})
+    assert res.status == 0, res.message
+    return max(float(res.fun), 0.0)
+
+
+def blob(sx, sy, size=15):
+    """Anisotropic Gaussian on a size x size grid, cut at 10% of its peak
+    (about 60 pixels at the default size), centred off the lattice."""
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    cy, cx = (size - 1) / 2 + 0.23, (size - 1) / 2 - 0.31
+    img = np.exp(-0.5 * (((yy - cy) / sy) ** 2 + ((xx - cx) / sx) ** 2))
+    img[img < 0.1] = 0.0
+    return img
+
+
+def blob_translate(rng, img, shift=5):
+    side = img.shape[0] + shift
+    oy, ox = rng.integers(0, shift + 1, size=2)
+    canvas = np.zeros((side, side))
+    canvas[oy:oy + img.shape[0], ox:ox + img.shape[1]] = img
+    return measure_from_grid_image(canvas)
+
+
+def lp_instances():
+    """(cost, a, b) of non-uniform and uniform LP instances: pixel grids,
+    the line, uniform squares, unequal atom counts and lp-images-style
+    translates of two 60-pixel blobs."""
+    rng = np.random.default_rng(403)
+    pairs = [(pixel_measure(rng, atoms), pixel_measure(rng, atoms))
+             for atoms in (30, 45, 60)]
+    for m, n in ((40, 70), (75, 52)):
+        pairs.append((DiscreteMeasure(rng.normal(size=m) * 2,
+                                      rng.random(m) + 0.05),
+                      DiscreteMeasure(rng.normal(size=n) * 2 + 1,
+                                      rng.random(n) + 0.05)))
+    for m in (10, 25):
+        w = np.full(m, 1.0 / m)
+        pairs.append((DiscreteMeasure(rng.normal(size=(m, 2)) * 3, w),
+                      DiscreteMeasure(rng.normal(size=(m, 2)) * 3, w)))
+    pairs += [(pixel_measure(rng, 20), pixel_measure(rng, 55)),
+              (pixel_measure(rng, 64), pixel_measure(rng, 33))]
+    wide, tall = blob(2.8, 1.5), blob(1.5, 2.8)
+    pairs += [(blob_translate(rng, wide), blob_translate(rng, tall)),
+              (blob_translate(rng, tall), blob_translate(rng, wide)),
+              (blob_translate(rng, wide), blob_translate(rng, wide))]
+    return [(ot.cost_matrix(mu, nu), mu.weights, nu.weights)
+            for mu, nu in pairs]
+
+
 class TestLinearProgram:
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (3, 1), (2, 3), (7, 5),
                                       (60, 60)])
@@ -300,6 +374,36 @@ class TestLinearProgram:
                 t = rng.integers(-6, 7, size=2).astype(float)
                 nu = mu.translated(t)
                 assert abs(lp_value(mu, nu) - t @ t) <= 1e-12 * max(t @ t, 1)
+
+    def test_matches_linprog_to_the_bit(self):
+        for cost, a, b in lp_instances():
+            assert ot._solve_lp(cost, a, b) == linprog_value(cost, a, b)
+
+    def test_fallback_takes_linprog_with_the_same_bits(self, monkeypatch):
+        instances = lp_instances()
+        expected = [ot._solve_lp(*inst) for inst in instances]
+        calls = []
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(ot, "_highs", None)
+        monkeypatch.setattr(ot, "linprog", counting_linprog)
+        assert [ot._solve_lp(*inst) for inst in instances] == expected
+        assert len(calls) == len(instances)
+
+    @pytest.mark.parametrize("route", ["binding", "linprog"])
+    def test_unequal_mass_is_infeasible(self, route, monkeypatch):
+        if route == "linprog":
+            monkeypatch.setattr(ot, "_highs", None)
+        elif ot._highs is None:
+            pytest.skip("this scipy bundles no HiGHS binding")
+        cost = np.arange(12.0).reshape(3, 4)
+        a = np.full(3, 1.0 / 3)
+        b = np.full(4, 0.2)  # total mass 0.8 against 1
+        with pytest.raises(SolverFailure, match="(?i)infeasible"):
+            ot._solve_lp(cost, a, b)
 
 
 class TestW2Matrix:

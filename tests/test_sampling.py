@@ -24,6 +24,17 @@ def offdiag(c, n):
     return c * (c - 1) // 2 + c * (n - c)
 
 
+def triu_entries(n, rate, seed):
+    """Entry pairs drawn as ``sample_entries`` once drew them: the same
+    ``rng.choice`` draw, mapped through ``np.triu_indices``."""
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    sel = rng.choice(total, size=int(round(rate * total)), replace=False)
+    sel.sort()
+    iu, ju = np.triu_indices(n, k=1)
+    return np.column_stack([iu[sel], ju[sel]])
+
+
 class TestSamplePlan:
     def test_entry_pair_order_enforced(self):
         with pytest.raises(InvariantViolation):
@@ -88,6 +99,15 @@ class TestSampleEntries:
             sample_entries(10, 0.0, seed=0)
         with pytest.raises(ValueError):
             sample_entries(10, 1.5, seed=0)
+
+    @pytest.mark.parametrize("n, rate, seed", [
+        (2, 1.0, 0), (2, 0.7, 9), (3, 1.0, 4), (4, 0.5, 8), (10, 0.2, 5),
+        (10, 1.0, 6), (57, 0.07, 11), (200, 0.3, 12), (2000, 0.05, 13)])
+    def test_plans_match_triu_construction(self, n, rate, seed):
+        plan = sample_entries(n, rate, seed)
+        expected = triu_entries(n, rate, seed)
+        assert plan.indices.dtype == expected.dtype
+        np.testing.assert_array_equal(plan.indices, expected)
 
     def test_uniform_inclusion_frequencies(self):
         # empirical inclusion of each of the 45 pairs at N=10 over many
