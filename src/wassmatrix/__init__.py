@@ -20,7 +20,7 @@ from .embedding import Embedding, Spectrum, choose_dimension, mds, spectrum
 from .matrixio import DistanceMatrix, MatrixKind, relative_error
 from .matrixio import load as load_matrix
 from .matrixio import save as save_matrix
-from .mc import ConvergenceReport, GramFactor, McConfig, apply_A, bb_step, complete_mc
+from .mc import ConvergenceReport, McConfig, apply_A, bb_step, complete_mc
 from .measures import (
     DiscreteMeasure,
     MeasureDataset,
@@ -31,12 +31,7 @@ from .measures import (
     synth_translation_family,
     synthetic_dataset,
 )
-from .nystrom import (
-    ColumnBlock,
-    complete_nystrom,
-    incoherence,
-    procrustes_distance,
-)
+from .nystrom import ColumnBlock, complete_nystrom, procrustes_distance
 from .ot import (
     cost_matrix,
     w2_matrix,
@@ -56,7 +51,6 @@ __all__ = [
     "DiscreteMeasure",
     "DistanceMatrix",
     "Embedding",
-    "GramFactor",
     "MatrixKind",
     "McConfig",
     "MeasureDataset",
@@ -72,7 +66,6 @@ __all__ = [
     "complete_nystrom",
     "cost_matrix",
     "derive_seed",
-    "incoherence",
     "knn1_classify",
     "lda_classify",
     "load_dataset",

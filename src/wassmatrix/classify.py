@@ -34,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from .embedding import choose_dimension, mds, spectrum
 from .errors import DegenerateClasses, EmptyTrainSet, InvariantViolation
-from .matrixio import DistanceMatrix, freeze
+from .matrixio import DistanceMatrix, MatrixKind, freeze
 from .measures import MeasureDataset
 from .nystrom import ColumnBlock
 from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
@@ -206,6 +206,8 @@ def stability_experiment(data: MeasureDataset, fractions, trials: int,
     Both the column sample and the train/test split are redrawn each
     trial from seeds derived off ``cfg.seed``; the returned reports
     record each trial seed so any single trial can be replayed.
+    ``full_matrix``, when given, must be the exact FULL matrix of
+    ``data``; a PARTIAL or ESTIMATED one raises InvariantViolation.
     """
     if data.labels is None:
         raise InvariantViolation("stability experiment needs a labeled dataset")
@@ -218,6 +220,9 @@ def stability_experiment(data: MeasureDataset, fractions, trials: int,
         raise ValueError("fractions must lie in (0, 1]")
     full = full_matrix if full_matrix is not None else w2_matrix(
         data, workers=cfg.workers)
+    if full.kind is not MatrixKind.FULL:
+        raise InvariantViolation(
+            f"stability needs the exact FULL matrix, got {full.kind.name}")
     if full.size != n:
         raise InvariantViolation("full matrix size does not match dataset")
     reports = []

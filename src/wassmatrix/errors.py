@@ -62,10 +62,6 @@ class CountOutOfRange(UsageError):
     """A requested column count is outside [1, N]."""
 
 
-class RankOutOfRange(UsageError):
-    """A requested rank is outside [1, N]."""
-
-
 class DimensionOutOfRange(UsageError):
     """A requested embedding dimension is outside [1, N-1]."""
 

@@ -40,13 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    Diverged,
-    EmptyPlan,
-    IndexOutOfRange,
-    InvariantViolation,
-)
-from .matrixio import CENTER_TOL, DistanceMatrix, freeze, sanitized_estimate
+from .errors import Diverged, EmptyPlan, IndexOutOfRange
+from .matrixio import DistanceMatrix, sanitized_estimate
+
+BB_STEP_BOUNDS = (1e-12, 1e10)  # clamp on every gradient step length
+DIVERGENCE_PATIENCE = 50  # consecutive growing blocks that raise Diverged
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,17 @@ class McConfig:
     """Solver knobs for :func:`complete_mc`.
 
     ``max_outer_iters * inner_steps`` caps the total number of BB steps.
-    Each block's first step is 1 / ||grad||; ``bb_step_bounds`` clamp it
+    Each block's first step is 1 / ||grad||; ``BB_STEP_BOUNDS`` clamp it
     and the raw BB1 steps after it, and a nonpositive secant curvature
     falls back to the lower bound.  Between blocks the multipliers take
-    the full residual.
+    the full residual.  The residual growing for ``DIVERGENCE_PATIENCE``
+    consecutive blocks raises :class:`Diverged`.
     """
 
     rank_estimate: int = 10
     max_outer_iters: int = 300
     inner_steps: int = 100
     residual_tolerance: float = 1e-6
-    bb_step_bounds: tuple = (1e-12, 1e10)
-    divergence_patience: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -75,26 +72,6 @@ class McConfig:
             raise ValueError("iteration limits must be >= 1")
         if self.residual_tolerance <= 0:
             raise ValueError("residual_tolerance must be > 0")
-        lo, hi = self.bb_step_bounds
-        if not 0 < lo <= hi:
-            raise ValueError("bb_step_bounds must satisfy 0 < lo <= hi")
-
-
-@dataclass(frozen=True)
-class GramFactor:
-    """Centered factor whose Gram matrix encodes completed distances."""
-
-    factor: np.ndarray
-    rank_estimate: int
-
-    def __init__(self, factor):
-        factor = np.asarray(factor, dtype=np.float64)
-        if factor.ndim != 2:
-            raise InvariantViolation("factor must be an (N, q) array")
-        if np.abs(factor.sum(axis=0)).max() > CENTER_TOL:
-            raise InvariantViolation("factor column sums are not zero")
-        object.__setattr__(self, "factor", freeze(factor.copy()))
-        object.__setattr__(self, "rank_estimate", factor.shape[1])
 
 
 @dataclass
@@ -104,7 +81,6 @@ class ConvergenceReport:
     final_residual: float
     stop_reason: str
     residual_trace: list = field(default_factory=list)
-    factor: GramFactor | None = None
 
     def to_json(self, max_trace: int = 200) -> dict:
         trace = self.residual_trace
@@ -181,7 +157,7 @@ def lagrangian_gradient(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
 
 def bb_step(gradient_current: np.ndarray, gradient_previous: np.ndarray,
             iterate_current: np.ndarray, iterate_previous: np.ndarray,
-            bounds: tuple = (1e-12, 1e10)) -> float:
+            bounds: tuple = BB_STEP_BOUNDS) -> float:
     """BB1 step <dx, dx> / <dx, dg>, clamped to ``bounds``.
 
     Falls back to the lower bound when the secant curvature <dx, dg> is
@@ -210,7 +186,7 @@ def complete_mc(d_obs: DistanceMatrix,
     once per step, at the new iterate, and they feed the block-end check,
     the multiplier update and the next gradient.  Raises
     :class:`Diverged` when the block residual is non-finite or grows for
-    ``cfg.divergence_patience`` consecutive blocks.
+    ``DIVERGENCE_PATIENCE`` consecutive blocks.
     """
     n = d_obs.size
     q = cfg.rank_estimate
@@ -247,11 +223,10 @@ def complete_mc(d_obs: DistanceMatrix,
                 g = _gradient(E, P, res + lam)
                 if Q_prev is None:
                     gn = float(np.linalg.norm(g))
-                    step = 1.0 / gn if gn > 0 else cfg.bb_step_bounds[0]
-                    step = min(max(step, cfg.bb_step_bounds[0]),
-                               cfg.bb_step_bounds[1])
+                    step = 1.0 / gn if gn > 0 else BB_STEP_BOUNDS[0]
+                    step = min(max(step, BB_STEP_BOUNDS[0]), BB_STEP_BOUNDS[1])
                 else:
-                    step = bb_step(g, g_prev, Q, Q_prev, cfg.bb_step_bounds)
+                    step = bb_step(g, g_prev, Q, Q_prev, BB_STEP_BOUNDS)
                 Q_prev, g_prev = Q, g
                 Q = Q - step * g
                 Q -= Q.mean(axis=0)
@@ -264,7 +239,7 @@ def complete_mc(d_obs: DistanceMatrix,
             if not np.isfinite(current):
                 raise Diverged(f"residual became non-finite at block {outer_done}")
             growth_run = growth_run + 1 if current > previous else 0
-            if growth_run >= cfg.divergence_patience:
+            if growth_run >= DIVERGENCE_PATIENCE:
                 raise Diverged(
                     f"residual grew for {growth_run} consecutive blocks"
                 )
@@ -280,6 +255,5 @@ def complete_mc(d_obs: DistanceMatrix,
         final_residual=current,
         stop_reason=stop_reason,
         residual_trace=trace,
-        factor=GramFactor(Q),
     )
     return sanitized_estimate(sq[:, None] + sq[None, :] - 2.0 * (Q @ Q.T)), report

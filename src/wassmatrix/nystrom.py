@@ -14,8 +14,8 @@ latter from the one SVD of the core taken when the block is built;
 ``embedding.spectrum`` embeds it directly in O(N c^2) without forming
 the N x N product.
 
-Also here: the incoherence diagnostic of the top-r singular subspace
-and the Procrustes alignment distance used to compare embeddings.
+Also here: the Procrustes alignment distance used to compare
+embeddings.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     DegenerateCore,
     InvariantViolation,
     NotCentered,
-    RankOutOfRange,
     ShapeMismatch,
 )
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
@@ -124,19 +123,6 @@ def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
 def complete_nystrom(block: ColumnBlock) -> DistanceMatrix:
     """Sanitized Nystrom estimate C U^+ C^T from a column block."""
     return sanitized_estimate(block.product())
-
-
-def incoherence(matrix: DistanceMatrix, r: int) -> float:
-    """sqrt(N/r) times the largest row norm of the top-r singular subspace.
-
-    Always lies in [1, sqrt(N/r)]; 1 means perfectly flat leverage.
-    """
-    n = matrix.size
-    if not 1 <= r <= n:
-        raise RankOutOfRange(f"need 1 <= r <= {n}, got {r}")
-    u, _, _ = np.linalg.svd(matrix.values)
-    rows = np.linalg.norm(u[:, :r], axis=1)
-    return float(np.sqrt(n / r) * rows.max())
 
 
 def procrustes_distance(Z: np.ndarray, Y: np.ndarray) -> float:

@@ -4,11 +4,11 @@
 measures with equal atom counts reduce to an assignment problem (solved
 by the permutation minimum below up to 4 atoms, beyond that by scipy's
 exact Jonker-Volgenant implementation); everything else goes through the
-LP, solved by HiGHS dual simplex, no presolve.  HiGHS is called through
-the binding scipy bundles with it (``scipy.optimize._highspy``); only a
-scipy without that binding goes through ``linprog``.  Two independent
-routes exist for testing: a permutation brute force for small uniform
-instances and the sorted-quantile closed form for measures on the line.
+LP, solved by HiGHS dual simplex, no presolve.  HiGHS is called only
+through the binding scipy bundles with it (``scipy.optimize._highspy``,
+scipy >= 1.15).  Two independent routes exist for testing: a
+permutation brute force for small uniform instances and the
+sorted-quantile closed form for measures on the line.
 
 ``w2_matrix`` assembles the N x N matrix D_ij = W2(mu_i, mu_j)^2 for a
 dataset, either in full or restricted to a sample plan (entry set or
@@ -16,9 +16,9 @@ column set).  Pairs of uniform measures with the same small atom count
 m <= 4 and dimension are solved in the calling process, many at once:
 their optimum sits at a permutation vertex (Birkhoff-von Neumann), so
 the minimum over all m! permutation couplings is exact.  Only the
-remaining pairs are solved one by one, optionally fanned out over a
-process pool.  Entries are pure functions of the two measures, so the
-result is identical for any worker count.
+remaining pairs are solved one by one by ``w2_squared``, optionally
+fanned out over a process pool.  Entries are pure functions of the two
+measures, so the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -28,13 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy import _core as _highs
 from scipy.spatial.distance import cdist
-
-try:  # scipy >= 1.15 bundles its HiGHS binding; linprog loads it anyway
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:
-    _highs = None
 
 from .errors import (
     DimensionMismatch,
@@ -111,55 +107,36 @@ def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     the dual simplex handles directly; presolve only adds time.  HiGHS
     is called through scipy's bundled binding, which skips the input
     checks and the per-column dual bookkeeping of ``linprog``; the same
-    solver options give the same optimum to the bit.  ``linprog`` is
-    used only where the binding is missing."""
+    solver options give the same optimum to the bit."""
     m, n = cost.shape
     matrix = _marginal_matrix(m, n)
-    rows = np.concatenate([a, b])
-    if _highs is None:
-        res = linprog(cost.ravel(), A_eq=matrix, b_eq=rows, bounds=(0, None),
-                      method="highs-ds", options={"presolve": False})
-        if res.status != 0:
-            raise SolverFailure(f"transportation LP failed: {res.message}")
-        fun = res.fun
-    else:
-        lp = _highs.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = m * n
-        lp.num_row_ = lp.a_matrix_.num_row_ = m + n
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = matrix.indptr
-        lp.a_matrix_.index_ = matrix.indices
-        lp.a_matrix_.value_ = matrix.data
-        lp.col_cost_ = cost.ravel()
-        lp.col_lower_ = np.zeros(m * n)
-        lp.col_upper_ = np.full(m * n, np.inf)
-        lp.row_lower_ = lp.row_upper_ = rows
-        options = _highs.HighsOptions()
-        options.presolve = "off"
-        options.solver = "simplex"
-        options.simplex_strategy = (
-            _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-        options.output_flag = options.log_to_console = False
-        solver = _highs._Highs()
-        solver.passOptions(options)
-        solver.passModel(lp)
-        failed = solver.run() == _highs.HighsStatus.kError
-        status = solver.getModelStatus()
-        if failed or status != _highs.HighsModelStatus.kOptimal:
-            raise SolverFailure("transportation LP failed: "
-                                + solver.modelStatusToString(status))
-        fun = solver.getInfo().objective_function_value
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = m * n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_ = cost.ravel()
+    lp.col_lower_ = np.zeros(m * n)
+    lp.col_upper_ = np.full(m * n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([a, b])
+    options = _highs.HighsOptions()
+    options.presolve = "off"
+    options.solver = "simplex"
+    options.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.output_flag = options.log_to_console = False
+    solver = _highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    failed = solver.run() == _highs.HighsStatus.kError
+    status = solver.getModelStatus()
+    if failed or status != _highs.HighsModelStatus.kOptimal:
+        raise SolverFailure("transportation LP failed: "
+                            + solver.modelStatusToString(status))
     # costs are nonnegative, so a negative optimum can only be solver noise
-    return max(float(fun), 0.0)
-
-
-def _w2_from_arrays(x: np.ndarray, wx: np.ndarray,
-                    y: np.ndarray, wy: np.ndarray) -> float:
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch(
-            f"measures live in R^{x.shape[1]} and R^{y.shape[1]}"
-        )
-    return _solve_transport(cdist(x, y, "sqeuclidean"), wx, wy)
+    return max(float(solver.getInfo().objective_function_value), 0.0)
 
 
 def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -251,23 +228,23 @@ def _solve_batched(data: MeasureDataset, pairs: np.ndarray,
     return done
 
 
-def _solve_pairs(points: list, weights: list, pairs: np.ndarray) -> np.ndarray:
+def _solve_pairs(measures: tuple, pairs: np.ndarray) -> np.ndarray:
     out = np.empty(pairs.shape[0])
     for k, (i, j) in enumerate(pairs):
-        out[k] = _w2_from_arrays(points[i], weights[i], points[j], weights[j])
+        out[k] = w2_squared(measures[i], measures[j])
     return out
 
 
 _POOL_DATA: tuple | None = None  # set only inside pool worker processes
 
 
-def _pool_init(points: list, weights: list) -> None:
+def _pool_init(measures: tuple) -> None:
     global _POOL_DATA
-    _POOL_DATA = (points, weights)
+    _POOL_DATA = measures
 
 
 def _pool_solve(pairs: np.ndarray) -> np.ndarray:
-    return _solve_pairs(*_POOL_DATA, pairs)
+    return _solve_pairs(_POOL_DATA, pairs)
 
 
 def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
@@ -306,15 +283,13 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
     vals = np.empty(pairs.shape[0])
     rest = ~_solve_batched(data, pairs, vals)
     todo = pairs[rest]
-    points = [mu.points for mu in data.measures]
-    weights = [mu.weights for mu in data.measures]
     if workers == 1 or todo.shape[0] < 2 * workers:
-        vals[rest] = _solve_pairs(points, weights, todo)
+        vals[rest] = _solve_pairs(data.measures, todo)
     else:
         chunks = np.array_split(todo, workers * 4)
         chunks = [c for c in chunks if c.shape[0]]
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(points, weights)) as pool:
+                                 initargs=(data.measures,)) as pool:
             vals[rest] = np.concatenate(list(pool.map(_pool_solve, chunks)))
     values = np.zeros((n, n))
     mask = np.eye(n, dtype=bool)

@@ -5,6 +5,7 @@ import pytest
 
 from wassmatrix import (
     ColumnBlock,
+    DistanceMatrix,
     StabilityConfig,
     choose_dimension,
     complete_nystrom,
@@ -193,6 +194,15 @@ class TestStabilityExperiment:
         data = synthetic_dataset("translations:grid3", 0)
         with pytest.raises(InvariantViolation):
             stability_experiment(data, [1.0], 1, StabilityConfig())
+
+    def test_rejects_a_matrix_that_is_not_full(self, small):
+        data, full = small
+        partial = DistanceMatrix.partial(full.values, np.ones_like(full.mask))
+        estimated = DistanceMatrix.estimated(full.values)
+        for matrix in (partial, estimated):
+            with pytest.raises(InvariantViolation, match=matrix.kind.name):
+                stability_experiment(data, [1.0], 1, StabilityConfig(),
+                                     full_matrix=matrix)
 
     def test_fraction_validated(self, small):
         data, full = small

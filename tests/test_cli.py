@@ -381,6 +381,23 @@ class TestClassify:
         assert err == "wassmatrix: error: unknown classifier 'svm'\n"
         assert not (tmp_path / "cls").exists()
 
+    def test_estimated_matrix_rejected(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run("synth", "--spec", "classes3:rand24", "--seed", 1,
+                   "--out", data_dir) == 0
+        assert run("dist", "--data", data_dir, "--columns", 12, "--seed", 2,
+                   "--out", tmp_path / "cols") == 0
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols.w2m",
+                   "--out", tmp_path / "est") == 0
+        capsys.readouterr()
+        assert run("classify", "--data", data_dir,
+                   "--matrix", tmp_path / "est.w2m", "--fractions", "0.5",
+                   "--trials", 1, "--out", tmp_path / "cls") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("wassmatrix: error:")
+        assert not (tmp_path / "cls").exists()
+
     def test_needs_labels(self, tmp_path, capsys):
         assert run("classify", "--synthetic", "translations:grid3",
                    "--fractions", "1.0", "--trials", 1,

@@ -5,7 +5,6 @@ from wassmatrix import (
     ColumnBlock,
     DistanceMatrix,
     complete_nystrom,
-    incoherence,
     mds,
     procrustes_distance,
     relative_error,
@@ -15,7 +14,6 @@ from wassmatrix.errors import (
     DegenerateCore,
     InvariantViolation,
     NotCentered,
-    RankOutOfRange,
     ShapeMismatch,
 )
 from wassmatrix.matrixio import MatrixKind
@@ -190,51 +188,6 @@ class TestCompleteNystrom:
                 errs.append(relative_error(est, full))
             means.append(np.mean(errs))
         assert np.all(np.diff(means) <= 0.0)
-
-
-class TestIncoherence:
-    def test_flat_leverage_is_one(self):
-        # points equally spaced on a circle give a circulant EDM whose
-        # dominant singular vector is the flat vector
-        n = 16
-        theta = 2 * np.pi * np.arange(n) / n
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        full = DistanceMatrix.full(edm_of(pts))
-        assert incoherence(full, 1) == pytest.approx(1.0, abs=1e-9)
-
-    def test_full_rank_request_is_one(self):
-        rng = np.random.default_rng(1)
-        full = DistanceMatrix.full(edm_of(rng.normal(size=(9, 4))))
-        nu = incoherence(full, 9)
-        assert nu == pytest.approx(1.0, abs=1e-9)
-
-    def test_range_bound(self):
-        rng = np.random.default_rng(2)
-        full = DistanceMatrix.full(edm_of(rng.normal(size=(20, 3))))
-        for r in (1, 3, 5, 10, 20):
-            nu = incoherence(full, r)
-            assert 1.0 - 1e-9 <= nu <= np.sqrt(20 / r) + 1e-9
-
-    def test_matches_independent_svd_oracle(self):
-        import scipy.linalg
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(25, 3))
-        full = DistanceMatrix.full(edm_of(pts))
-        r = 5  # d + 2
-        u = scipy.linalg.svd(full.values)[0][:, :r]
-        expected = 0.0
-        for i in range(25):
-            norm = sum(u[i, k] ** 2 for k in range(r)) ** 0.5
-            expected = max(expected, norm)
-        expected *= (25 / r) ** 0.5
-        assert incoherence(full, r) == pytest.approx(expected, rel=1e-12)
-
-    def test_rank_out_of_range(self):
-        full = DistanceMatrix.full(np.zeros((4, 4)))
-        with pytest.raises(RankOutOfRange):
-            incoherence(full, 0)
-        with pytest.raises(RankOutOfRange):
-            incoherence(full, 5)
 
 
 class TestProcrustes:

@@ -43,14 +43,6 @@ def fail_the_lp(monkeypatch, calls):
     """Make the HiGHS call ``ot._solve_lp`` takes report an infeasible
     model, appending to ``calls`` once per solve."""
     real = ot._highs
-    if real is None:
-        def failing_linprog(*_args, **_kwargs):
-            calls.append(1)
-            return SimpleNamespace(status=2, message="infeasible", fun=None,
-                                   x=None)
-
-        monkeypatch.setattr(ot, "linprog", failing_linprog)
-        return
 
     class FailingHighs(real._Highs):
         def run(self):
@@ -379,26 +371,7 @@ class TestLinearProgram:
         for cost, a, b in lp_instances():
             assert ot._solve_lp(cost, a, b) == linprog_value(cost, a, b)
 
-    def test_fallback_takes_linprog_with_the_same_bits(self, monkeypatch):
-        instances = lp_instances()
-        expected = [ot._solve_lp(*inst) for inst in instances]
-        calls = []
-
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(ot, "_highs", None)
-        monkeypatch.setattr(ot, "linprog", counting_linprog)
-        assert [ot._solve_lp(*inst) for inst in instances] == expected
-        assert len(calls) == len(instances)
-
-    @pytest.mark.parametrize("route", ["binding", "linprog"])
-    def test_unequal_mass_is_infeasible(self, route, monkeypatch):
-        if route == "linprog":
-            monkeypatch.setattr(ot, "_highs", None)
-        elif ot._highs is None:
-            pytest.skip("this scipy bundles no HiGHS binding")
+    def test_unequal_mass_is_infeasible(self):
         cost = np.arange(12.0).reshape(3, 4)
         a = np.full(3, 1.0 / 3)
         b = np.full(4, 0.2)  # total mass 0.8 against 1
@@ -510,9 +483,9 @@ class TestW2Matrix:
         solved, started = [], []
         solve_pairs, pool = ot._solve_pairs, ot.ProcessPoolExecutor
 
-        def counting_solve(points, weights, pairs):
+        def counting_solve(measures, pairs):
             solved.append(pairs.shape[0])
-            return solve_pairs(points, weights, pairs)
+            return solve_pairs(measures, pairs)
 
         def counting_pool(**kwargs):
             started.append(kwargs["max_workers"])
