@@ -39,17 +39,22 @@ def random_uniform_pair(rng, max_atoms=6, max_dim=3):
     return mu, nu
 
 
-def fail_the_lp(monkeypatch, calls):
-    """Make the HiGHS call ``ot._solve_lp`` takes report an infeasible
-    model, appending to ``calls`` once per solve."""
+def fail_the_lp(monkeypatch, calls, after=0):
+    """Make the HiGHS runs ``ot._solve_lp`` takes report an infeasible
+    model once ``after`` runs have succeeded, appending to ``calls`` once
+    per run."""
     real = ot._highs
 
     class FailingHighs(real._Highs):
         def run(self):
             calls.append(1)
+            if len(calls) <= after:
+                return super().run()
             return real.HighsStatus.kError
 
         def getModelStatus(self):
+            if len(calls) <= after:
+                return super().getModelStatus()
             return real.HighsModelStatus.kInfeasible
 
     binding = {**vars(real), "_Highs": FailingHighs}
@@ -113,6 +118,29 @@ class TestW2Squared:
         monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
         assert main(["dist", "--data", str(tmp_path / "data"), "--full",
                      "--out", str(tmp_path / "full")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "full.w2m").exists()
+
+    def test_failure_after_pricing_raises_solver_failure(self, tmp_path,
+                                                         capsys, monkeypatch):
+        from wassmatrix.cli import main
+        from wassmatrix.measures import save_dataset
+
+        rng = np.random.default_rng(404)
+        mu = blob_translate(rng, blob(2.8, 1.5))
+        nu = blob_translate(rng, blob(1.5, 2.8))
+        calls = []
+        fail_the_lp(monkeypatch, calls, after=1)
+        with pytest.raises(SolverFailure, match="(?i)infeasible"):
+            w2_squared(mu, nu)
+        assert len(calls) == 2  # the run after pricing added arcs failed
+
+        calls.clear()
+        save_dataset(MeasureDataset([mu, nu]), tmp_path / "data")
+        monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
+        assert main(["dist", "--data", str(tmp_path / "data"), "--full",
+                     "--out", str(tmp_path / "full")]) == 2
+        assert len(calls) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "full.w2m").exists()
 
@@ -261,7 +289,18 @@ def kron_marginal_matrix(m, n):
 
 
 def lp_value(mu, nu):
-    return ot._solve_lp(ot.cost_matrix(mu, nu), mu.weights, nu.weights)
+    """W2^2 by the LP alone, started from the shortlist ``w2_squared``
+    gives it."""
+    return ot._solve_lp(ot.cost_matrix(mu, nu), mu.weights, nu.weights,
+                        ot._shortlist(mu, nu))
+
+
+def full_lp_value(mu, nu):
+    """W2^2 by the LP on every arc: the reference the shortlist is
+    checked against."""
+    cost = ot.cost_matrix(mu, nu)
+    return ot._solve_lp(cost, mu.weights, nu.weights,
+                        np.ones(cost.shape, bool))
 
 
 def pixel_measure(rng, atoms, side=12):
@@ -302,7 +341,7 @@ def blob_translate(rng, img, shift=5):
 
 
 def lp_instances():
-    """(cost, a, b) of non-uniform and uniform LP instances: pixel grids,
+    """(mu, nu) pairs of non-uniform and uniform LP instances: pixel grids,
     the line, uniform squares, unequal atom counts and lp-images-style
     translates of two 60-pixel blobs."""
     rng = np.random.default_rng(403)
@@ -323,20 +362,58 @@ def lp_instances():
     pairs += [(blob_translate(rng, wide), blob_translate(rng, tall)),
               (blob_translate(rng, tall), blob_translate(rng, wide)),
               (blob_translate(rng, wide), blob_translate(rng, wide))]
-    return [(ot.cost_matrix(mu, nu), mu.weights, nu.weights)
-            for mu, nu in pairs]
+    return pairs
+
+
+def scattered_pairs():
+    """Pairs the shortlist meets less often than blobs: 150-atom random
+    non-uniform measures in the plane, and 60 scattered pixels of a
+    20 x 20 grid."""
+    rng = np.random.default_rng(405)
+    pairs = [(DiscreteMeasure(rng.normal(size=(150, 2)) * 3,
+                              rng.random(150) + 0.05),
+              DiscreteMeasure(rng.normal(size=(150, 2)) * 3 + 1,
+                              rng.random(150) + 0.05)) for _ in range(3)]
+    pairs += [(pixel_measure(rng, 60, side=20), pixel_measure(rng, 60, side=20))
+              for _ in range(3)]
+    return pairs
+
+
+def north_west_stepwise(a, b):
+    """The north-west-corner rule cell by cell: leave the row when its
+    cumulative mass is at most the column's, else leave the column."""
+    row_mass, col_mass = np.cumsum(a), np.cumsum(b)
+    i = j = 0
+    cells = [(0, 0)]
+    while (i, j) != (a.size - 1, b.size - 1):
+        if i < a.size - 1 and (j == b.size - 1 or row_mass[i] <= col_mass[j]):
+            i += 1
+        else:
+            j += 1
+        cells.append((i, j))
+    return cells
+
+
+def counting_runs(monkeypatch):
+    """Record the LP's objective after every HiGHS run of ``_solve_lp``,
+    one list per call."""
+    values, run = [], ot._run
+
+    def counting(solver):
+        run(solver)
+        values[-1].append(solver.getInfo().objective_function_value)
+
+    def solve_lp(*args):
+        values.append([])
+        return solve(*args)
+
+    solve = ot._solve_lp
+    monkeypatch.setattr(ot, "_run", counting)
+    monkeypatch.setattr(ot, "_solve_lp", solve_lp)
+    return values
 
 
 class TestLinearProgram:
-    @pytest.mark.parametrize("m, n", [(1, 1), (1, 4), (3, 1), (2, 3), (7, 5),
-                                      (60, 60)])
-    def test_marginal_matrix_matches_kron_build(self, m, n):
-        built = ot._marginal_matrix(m, n)
-        assert built.format == "csc"
-        assert built.shape == (m + n, m * n)
-        np.testing.assert_array_equal(built.toarray(),
-                                      kron_marginal_matrix(m, n).toarray())
-
     def test_matches_quantile_form_on_the_line(self):
         rng = np.random.default_rng(400)
         for _ in range(12):
@@ -368,15 +445,60 @@ class TestLinearProgram:
                 assert abs(lp_value(mu, nu) - t @ t) <= 1e-12 * max(t @ t, 1)
 
     def test_matches_linprog_to_the_bit(self):
-        for cost, a, b in lp_instances():
-            assert ot._solve_lp(cost, a, b) == linprog_value(cost, a, b)
+        for mu, nu in lp_instances():
+            cost = ot.cost_matrix(mu, nu)
+            assert (full_lp_value(mu, nu)
+                    == linprog_value(cost, mu.weights, nu.weights))
 
     def test_unequal_mass_is_infeasible(self):
         cost = np.arange(12.0).reshape(3, 4)
         a = np.full(3, 1.0 / 3)
         b = np.full(4, 0.2)  # total mass 0.8 against 1
         with pytest.raises(SolverFailure, match="(?i)infeasible"):
-            ot._solve_lp(cost, a, b)
+            ot._solve_lp(cost, a, b, np.ones(cost.shape, bool))
+
+
+class TestShortlist:
+    def test_matches_full_lp(self, monkeypatch):
+        runs = counting_runs(monkeypatch)
+        for mu, nu in lp_instances() + scattered_pairs():
+            full = full_lp_value(mu, nu)
+            assert len(runs.pop()) == 1  # every arc: nothing to price
+            assert abs(lp_value(mu, nu) - full) <= 1e-12 * full
+        assert max(map(len, runs)) >= 3  # two pricing rounds added arcs
+
+    def test_small_side_takes_every_arc(self):
+        rng = np.random.default_rng(406)
+        mu = pixel_measure(rng, ot._SHORTLIST_NEIGHBOURS)
+        nu = pixel_measure(rng, 60)
+        assert ot._shortlist(mu, nu).all()
+        assert ot._shortlist(nu, mu).all()
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 6), (9, 4), (60, 60)])
+    def test_north_west_matches_the_stepwise_rule(self, m, n):
+        rng = np.random.default_rng(407 + m + n)
+        for a, b in ((np.full(m, 1.0 / m), np.full(n, 1.0 / n)),
+                     (rng.random(m) + 0.01, rng.random(n) + 0.01)):
+            a, b = a / a.sum(), b / b.sum()
+            rows, cols = ot._north_west(a, b)
+            assert list(zip(rows, cols)) == north_west_stepwise(a, b)
+
+    def test_pricing_certifies_a_truncated_start(self, monkeypatch):
+        # the north-west staircase alone is a spanning tree: its one
+        # feasible coupling misses the optimal support, so only pricing
+        # reaches the optimum.  The last LP instance is left out: it pairs
+        # translates of one blob, whose staircase is the optimal coupling
+        runs = counting_runs(monkeypatch)
+        for mu, nu in lp_instances()[:-1] + scattered_pairs():
+            full = full_lp_value(mu, nu)
+            cost = ot.cost_matrix(mu, nu)
+            arcs = np.zeros(cost.shape, bool)
+            arcs[ot._north_west(mu.weights, nu.weights)] = True
+            value = ot._solve_lp(cost, mu.weights, nu.weights, arcs)
+            first = runs[-1][0]
+            assert first > full * (1 + 1e-9)
+            assert len(runs[-1]) >= 2
+            assert abs(value - full) <= 1e-12 * full
 
 
 class TestW2Matrix:
@@ -502,6 +624,26 @@ class TestW2Matrix:
             assert serial.values.tobytes() == parallel.values.tobytes()
             assert serial.mask.tobytes() == parallel.mask.tobytes()
         assert started == [2, 8]
+
+    def test_lp_column_dist_same_bits(self, tmp_path, monkeypatch):
+        # lp-images-style blob translates: every pair takes the priced
+        # shortlist LP, and the .w2m bytes depend on neither the worker
+        # count nor the run
+        from wassmatrix.cli import main
+        from wassmatrix.measures import save_dataset
+
+        rng = np.random.default_rng(408)
+        shapes = (blob(2.8, 1.5), blob(1.5, 2.8))
+        save_dataset(MeasureDataset([blob_translate(rng, shapes[k % 2])
+                                     for k in range(64)]), tmp_path / "data")
+        monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
+        files = []
+        for name, workers in (("one", 1), ("two", 2), ("again", 1)):
+            assert main(["dist", "--data", str(tmp_path / "data"),
+                         "--columns", "2", "--seed", "9", "--workers",
+                         str(workers), "--out", str(tmp_path / name)]) == 0
+            files.append((tmp_path / f"{name}.w2m").read_bytes())
+        assert files[0] == files[1] == files[2]
 
     def test_all_batched_starts_no_pool(self, monkeypatch):
         data = synth_translation_family(

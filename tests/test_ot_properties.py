@@ -87,7 +87,9 @@ def test_routes_agree(data):
     vals = w2_matrix(data).values
     for i, j in zip(*np.triu_indices(len(data), k=1)):
         mu, nu = data[int(i)], data[int(j)]
-        lp = ot._solve_lp(cost_matrix(mu, nu), mu.weights, nu.weights)
+        cost = cost_matrix(mu, nu)
+        lp = ot._solve_lp(cost, mu.weights, nu.weights,
+                          np.ones(cost.shape, bool))
         routes = [lp, w2_squared(mu, nu)]
         if mu.num_atoms == nu.num_atoms and mu.is_uniform() and nu.is_uniform():
             routes.append(w2_squared_bruteforce(mu, nu))
