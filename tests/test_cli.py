@@ -405,6 +405,8 @@ class TestClassify:
 
 
 class TestConfigHandling:
+    CLASSIFY = ("classify", "--synthetic", "classes3:rand30", "--fractions", 1.0)
+
     def test_config_file_and_set_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 1000, "rate": 0.5}))
@@ -425,6 +427,121 @@ class TestConfigHandling:
 
     def test_bad_set_syntax(self, capsys):
         assert run("budget", "--set", "norate", "--n", 10) == 1
+
+    @pytest.mark.parametrize("argv, config, named", [
+        (("budget", "--rate", 0.5, "--set", "n=abc"), None, "--n"),
+        (("budget",), {"n": "abc", "rate": 0.5}, "--n"),
+        (("budget", "--n", 10, "--set", "rate=[0.5]"), None, "--rate"),
+        (CLASSIFY + ("--set", "trials=abc"), None, "--trials"),
+        (CLASSIFY, {"trials": 1.5}, "--trials"),
+        (("classify", "--synthetic", "classes3:rand30"),
+         {"fractions": ["a", "b"]}, "--fractions"),
+        (("dist", "--synthetic", "translations:rand10", "--set", "full=abc"),
+         None, "full"),
+        (("dist", "--synthetic", "translations:rand10"), {"full": 1}, "full"),
+    ], ids=["budget-set", "budget-config", "budget-set-list", "classify-set",
+            "classify-config", "fractions-config", "full-set", "full-config"])
+    def test_value_of_wrong_type(self, tmp_path, capsys, argv, config, named):
+        """A --set or --config value gets the option's type: one error
+        line that names the option, exit 1, no traceback."""
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ("--config", tmp_path / "cfg.json")
+        assert run(*argv, "--out", tmp_path / "x") == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and named in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv, key", [
+        (("budget", "--n", 10, "--rate", 0.5), "rank_estimate"),
+        (("budget", "--n", 10, "--rate", 0.5), "algorithm"),
+        (("budget", "--n", 10, "--rate", 0.5), "seed"),
+        (("dist", "--synthetic", "translations:rand10", "--full"), "energy"),
+        (("embed", "--input", "absent.w2m"), "workers"),
+        (("eval", "--estimate", "a.w2m", "--truth", "b.w2m"), "seed"),
+        (("synth", "--spec", "translations:rand10"), "workers"),
+        (("budget", "--n", 10, "--rate", 0.5), "config"),
+    ])
+    def test_key_of_another_command(self, tmp_path, capsys, argv, key):
+        """Each command takes exactly its own options as keys."""
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 1}))
+        for how in (("--set", f"{key}=1"), ("--config", tmp_path / "cfg.json")):
+            assert run(*argv, *how, "--out", tmp_path / "x") == 1
+            assert (capsys.readouterr().err
+                    == f"wassmatrix: error: unknown config key '{key}'\n")
+            assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("argv", [
+        ("budget", "--n", 10, "--rate", 0.5, "--seed", 1),
+        ("budget", "--n", 10, "--rate", 0.5, "--workers", 2),
+        ("embed", "--input", "absent.w2m", "--seed", 1),
+        ("eval", "--estimate", "a.w2m", "--truth", "b.w2m", "--workers", 2),
+        ("synth", "--spec", "translations:rand10", "--workers", 2),
+    ])
+    def test_seed_and_workers_only_where_read(self, tmp_path, capsys, argv):
+        assert run(*argv, "--out", tmp_path / "x") == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
+    def test_manifest_config_is_own_options(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run("synth", "--spec", "classes3:rand24", "--out", data) == 0
+        assert run("dist", "--data", data, "--columns", 6,
+                   "--out", tmp_path / "cols") == 0
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols.w2m",
+                   "--out", tmp_path / "est") == 0
+        assert run("embed", "--input", tmp_path / "est.w2m",
+                   "--out", tmp_path / "emb.csv") == 0
+        assert run("classify", "--data", data, "--fractions", "1.0",
+                   "--trials", 1, "--out", tmp_path / "cls") == 0
+        own = {
+            "synth": {"synthetic", "out", "seed"},
+            "dist": {"data", "synthetic", "full", "rate", "columns", "out",
+                     "seed", "workers"},
+            "complete": {"algorithm", "input", "out", "rank_estimate",
+                         "max_outer_iters", "inner_steps",
+                         "residual_tolerance", "seed"},
+            "embed": {"input", "dim", "energy", "labels_from", "out"},
+            "classify": {"data", "synthetic", "input", "fractions", "trials",
+                         "energy", "dim", "classifiers", "test_fraction",
+                         "out", "seed", "workers"},
+        }
+        manifests = [data / "synth.manifest.json", tmp_path / "cols.manifest.json",
+                     tmp_path / "est.manifest.json",
+                     tmp_path / "emb.csv.manifest.json",
+                     tmp_path / "cls" / "classify.manifest.json"]
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert set(manifest["config"]) <= own[manifest["command"]], path
+        dist = json.loads((tmp_path / "cols.manifest.json").read_text())
+        assert dist["config"] == {"data": str(data), "columns": 6, "full": False,
+                                  "out": str(tmp_path / "cols"), "seed": 0}
+
+    def test_config_lists_and_switches(self, tmp_path, capsys):
+        """JSON lists in --config are the comma lists of the flags, and a
+        switch takes true or false from --set and --config."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fractions": [0.5, 1.0],
+                                   "classifiers": ["knn1"]}))
+        common = ("classify", "--synthetic", "classes3:rand24", "--trials", 2,
+                  "--seed", 13)
+        assert run(*common, "--config", cfg, "--out", tmp_path / "a") == 0
+        assert run(*common, "--fractions", "0.5,1.0", "--classifiers", "knn1",
+                   "--out", tmp_path / "b") == 0
+        summary = (tmp_path / "a" / "summary.json").read_text()
+        assert summary == (tmp_path / "b" / "summary.json").read_text()
+        assert len(json.loads(summary)["reports"]) == 2
+
+        dist = ("dist", "--synthetic", "translations:rand10", "--columns", 3)
+        assert run(*dist, "--set", "full=false", "--out", tmp_path / "c") == 0
+        assert load(tmp_path / "c.w2m").kind is MatrixKind.PARTIAL
+        cfg.write_text(json.dumps({"full": True, "columns": None}))
+        assert run("dist", "--synthetic", "translations:rand10",
+                   "--config", cfg, "--out", tmp_path / "d") == 0
+        assert load(tmp_path / "d.w2m").kind is MatrixKind.FULL
 
     def test_workers_env(self, tmp_path, capsys, monkeypatch):
         data_dir = tmp_path / "data"

@@ -1,8 +1,10 @@
 """Property tests of W2^2 invariants on small random measures.
 
-Datasets mix uniform and non-uniform measures of 1-4 atoms, so
-``w2_matrix`` sends their pairs through the batched permutation minimum,
-the assignment solver and the LP.
+Datasets mix uniform and non-uniform measures of 1-4 atoms, so their
+pairs reach the forced one-atom coupling, the permutation (vertex)
+minimum and the LP.  They never reach the assignment solver: a uniform
+pair of equal size m <= 4 takes the vertex minimum in both
+``w2_matrix`` and ``w2_squared``.
 """
 
 import numpy as np
