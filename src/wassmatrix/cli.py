@@ -48,7 +48,12 @@ from .classify import (
 from .embedding import choose_dimension, mds, save_embedding, spectrum
 from .errors import ConfigError, NumericalError, UsageError
 from .mc import McConfig, complete_mc
-from .measures import load_dataset, save_dataset, synthetic_dataset
+from .measures import (
+    load_dataset,
+    load_labels,
+    save_dataset,
+    synthetic_dataset,
+)
 from .nystrom import PINV_TOLERANCE, ColumnBlock, complete_nystrom
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
@@ -245,7 +250,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     matrix = matrixio.load(args.input)
     labels = None
     if args.labels_from:
-        labels = load_dataset(args.labels_from).labels
+        labels = load_labels(args.labels_from)
         _require(labels is not None, f"{args.labels_from} has no labels.csv")
         _require(len(labels) == matrix.size,
                  "label count does not match matrix size")

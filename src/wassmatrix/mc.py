@@ -134,10 +134,17 @@ def _residual(P: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", P, P) - b
 
 
-def _gradient(E: sparse.csr_array, P: np.ndarray,
-              r: np.ndarray) -> np.ndarray:
-    """2 * As(r) Q = 2 E (r * P) from the row differences P = E^T Q."""
-    return 2.0 * (E @ (r[:, None] * P))
+def _gradient(E: sparse.csr_array, P: np.ndarray, r: np.ndarray,
+              work: sparse.csr_array) -> np.ndarray:
+    """2 * As(r) Q = (E diag(2r)) P from the row differences P = E^T Q.
+
+    ``work`` is a copy of E whose data this overwrites with the entries
+    +-2 r_alpha of E diag(2r).  Scaling by 2 is exact, so this gives the
+    bits of 2 E (r * P) without the (|Omega|, q) product or the 2 * pass.
+    """
+    np.multiply(E.data, r[E.indices], out=work.data)
+    work.data *= 2.0
+    return work @ P
 
 
 def lagrangian_value(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
@@ -152,7 +159,7 @@ def lagrangian_gradient(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
     """Analytic gradient 2 * As(r) Q of the augmented Lagrangian."""
     E, et = _incidence(pairs[:, 0], pairs[:, 1], Q.shape[0])
     P = et @ Q
-    return _gradient(E, P, _residual(P, b) + lam)
+    return _gradient(E, P, _residual(P, b) + lam, E.copy())
 
 
 def bb_step(gradient_current: np.ndarray, gradient_previous: np.ndarray,
@@ -205,6 +212,7 @@ def complete_mc(d_obs: DistanceMatrix,
     lam = np.zeros_like(b)
 
     E, et = _incidence(ii, jj, n)
+    work = E.copy()
     total_steps = 0
     trace: list[float] = []
     stop_reason = "max_iters"
@@ -220,7 +228,7 @@ def complete_mc(d_obs: DistanceMatrix,
         for outer in range(cfg.max_outer_iters):
             Q_prev = g_prev = None
             for _ in range(cfg.inner_steps):
-                g = _gradient(E, P, res + lam)
+                g = _gradient(E, P, res + lam, work)
                 if Q_prev is None:
                     gn = float(np.linalg.norm(g))
                     step = 1.0 / gn if gn > 0 else BB_STEP_BOUNDS[0]
@@ -229,7 +237,7 @@ def complete_mc(d_obs: DistanceMatrix,
                     step = bb_step(g, g_prev, Q, Q_prev, BB_STEP_BOUNDS)
                 Q_prev, g_prev = Q, g
                 Q = Q - step * g
-                Q -= Q.mean(axis=0)
+                Q -= Q.sum(axis=0) / n
                 P = et @ Q
                 res = _residual(P, b)
                 total_steps += 1

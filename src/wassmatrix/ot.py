@@ -4,11 +4,12 @@
 measures with equal atom counts reduce to an assignment problem (solved
 by the permutation minimum below up to 4 atoms, beyond that by scipy's
 exact Jonker-Volgenant implementation); everything else goes through the
-LP, solved by HiGHS dual simplex, no presolve.  The LP starts on a
+LP, solved by HiGHS simplex without presolve.  The LP starts on a
 shortlist of arcs (the nearest atoms of each row and column once both
 supports are centred, plus a north-west-corner staircase that keeps it
-feasible) and adds every arc whose reduced cost, from the row duals, is
-negative, re-running from the kept basis until none is left.  That
+feasible), solved by dual simplex with devex pricing.  It then adds
+every arc whose reduced cost, from the row duals, is negative, and
+re-runs by primal simplex from the kept basis until none is left.  That
 certifies the optimum of the LP on every arc; the value lies within
 about 1e-15 relative of it, not always on the same bits.  HiGHS is
 called only through the binding scipy bundles with it
@@ -117,12 +118,20 @@ def _shortlist(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return arcs
 
 
-_LP_OPTIONS = _highs.HighsOptions()  # dual simplex, no presolve, silent
+# The first run: dual simplex with devex pricing (Harris 1973), no
+# presolve, silent.  Runs after addCols take primal simplex (_PRIMAL, see
+# _solve_lp).  On 60-pixel blob pairs the two cut the simplex iterations
+# per pair from about 350 to 240 against dual simplex with HiGHS's
+# default pricing throughout.
+_SIMPLEX = _highs.simplex_constants
+_LP_OPTIONS = _highs.HighsOptions()
 _LP_OPTIONS.presolve = "off"
 _LP_OPTIONS.solver = "simplex"
-_LP_OPTIONS.simplex_strategy = (
-    _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_LP_OPTIONS.simplex_strategy = _SIMPLEX.SimplexStrategy.kSimplexStrategyDual
+_LP_OPTIONS.simplex_dual_edge_weight_strategy = (
+    _SIMPLEX.SimplexEdgeWeightStrategy.kSimplexEdgeWeightStrategyDevex)
 _LP_OPTIONS.output_flag = _LP_OPTIONS.log_to_console = False
+_PRIMAL = int(_SIMPLEX.SimplexStrategy.kSimplexStrategyPrimal)
 
 
 def _arc_columns(rows: np.ndarray, cols: np.ndarray, m: int) -> tuple:
@@ -146,19 +155,21 @@ def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Exact optimal value of the transportation LP, solved on the arcs
     in the (m, n) mask ``arcs`` and certified against every arc.
 
-    HiGHS dual simplex, no presolve, runs on the restricted LP: one
-    column per arc, row-major, with ones in rows i and m + j.  The LP has
-    only m + n equality rows, which the dual simplex handles directly;
-    presolve only adds time.  After each run the reduced costs
-    c_ij - y_i - y_{m+j} of the arcs left out come from the row duals y.
-    Every arc below -1e-12 max C is added (``addCols``) and the LP runs
-    again from the basis HiGHS keeps.  When no such arc is left, the
-    duals are feasible for the full LP, so the value is its optimum.  The
-    arc set only grows, so the loop ends, at worst on the full LP.  With
-    every arc in the mask the first run is the full LP, column for column,
-    and no arc is priced.  HiGHS is called through scipy's bundled
-    binding, and the model is passed as arrays (the ``HighsLp`` fields
-    copy theirs element by element)."""
+    HiGHS dual simplex with devex pricing, no presolve, runs on the
+    restricted LP: one column per arc, row-major, with ones in rows i and
+    m + j.  The LP has only m + n equality rows, which the dual simplex
+    handles directly; presolve only adds time.  After each run the
+    reduced costs c_ij - y_i - y_{m+j} of the arcs left out come from the
+    row duals y.  Every arc below -1e-12 max C is added (``addCols``) and
+    the LP runs again from the basis HiGHS keeps, by primal simplex: the
+    new columns leave that basis primal feasible but not dual feasible,
+    so the dual simplex would first have to repair it.  When no such arc
+    is left, the duals are feasible for the full LP, so the value is its
+    optimum.  The arc set only grows, so the loop ends, at worst on the
+    full LP.  With every arc in the mask the first run is the full LP,
+    column for column, and no arc is priced.  HiGHS is called through
+    scipy's bundled binding, and the model is passed as arrays (the
+    ``HighsLp`` fields copy theirs element by element)."""
     m, n = cost.shape
     rows, cols = np.nonzero(arcs)
     marginals = np.concatenate([a, b])
@@ -183,6 +194,7 @@ def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
         solver.addCols(rows.size, cost[rows, cols], np.zeros(rows.size),
                        np.full(rows.size, np.inf), 2 * rows.size,
                        *_arc_columns(rows, cols, m))
+        solver.setOptionValue("simplex_strategy", _PRIMAL)
         _run(solver)
     # costs are nonnegative, so a negative optimum can only be solver noise
     return max(float(solver.getInfo().objective_function_value), 0.0)

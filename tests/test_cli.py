@@ -319,6 +319,29 @@ class TestEmbedAndEval:
         lines = out.read_text().splitlines()
         assert lines[0] == "index,z1,z2,label"
 
+    @pytest.mark.parametrize("rows", [
+        "0,1\n0,2\n" + "".join(f"{k},0\n" for k in range(1, 9)),
+        "".join(f"{k},0\n" for k in range(9)) + "9,1\n",
+        "0,1\n1,1\n",
+        None,  # labels of a 6-measure dataset for a 9 x 9 matrix
+    ])
+    def test_embed_rejects_bad_labels(self, tmp_path, capsys, rows):
+        data_dir = tmp_path / "data"
+        run("synth", "--spec", "classes3:rand9", "--out", data_dir)
+        run("dist", "--data", data_dir, "--full", "--out", tmp_path / "f")
+        labels_from = data_dir
+        if rows is None:
+            labels_from = tmp_path / "small"
+            run("synth", "--spec", "classes3:rand6", "--out", labels_from)
+        else:
+            (data_dir / "labels.csv").write_text("index,label\n" + rows)
+        capsys.readouterr()
+        assert run("embed", "--input", tmp_path / "f.w2m", "--dim", 2,
+                   "--labels-from", labels_from,
+                   "--out", tmp_path / "emb.csv") == 1
+        assert capsys.readouterr().err.strip()
+        assert not (tmp_path / "emb.csv").exists()
+
     def test_eval_prints_relative_error(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--columns", 8, "--seed", 5,

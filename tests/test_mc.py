@@ -104,8 +104,20 @@ class TestIncidenceRoute:
         P = et @ Q
         r = mc._residual(P, b) + lam
         want = 2.0 * adjoint_oracle(r, pairs, n) @ Q
-        np.testing.assert_allclose(mc._gradient(E, P, r), want, rtol=0,
-                                   atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(mc._gradient(E, P, r, E.copy()), want,
+                                   rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_gradient_has_the_bits_of_the_scaled_product(self, n):
+        # E diag(2r) P only moves exact factors of 2 and signs, so it
+        # gives the bits of 2 E (r * P), with a work copy reused per step
+        Q, pairs, b, lam, E, et = self.instance(n)
+        work = E.copy()
+        for _ in range(3):
+            P = et @ Q
+            r = mc._residual(P, b) + lam
+            g = mc._gradient(E, P, r, work)
+            np.testing.assert_array_equal(g, 2.0 * (E @ (r[:, None] * P)))
+            Q = Q - 1e-3 * g
 
 
 class TestBBStep:

@@ -22,6 +22,7 @@ from wassmatrix.errors import (
 )
 from wassmatrix.measures import (
     load_dataset,
+    load_labels,
     load_measure,
     save_dataset,
     save_measure,
@@ -265,3 +266,21 @@ class TestMeasureFiles:
         (tmp_path / "ds" / "labels.csv").write_text("index,label\n0,1\n")
         with pytest.raises(FormatError):
             load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("spec", ["classes3:rand9", "translations:grid2"])
+    def test_load_labels_matches_load_dataset(self, tmp_path, spec):
+        directory = tmp_path / "ds"
+        save_dataset(synthetic_dataset(spec, 2), directory)
+        assert load_labels(directory) == load_dataset(directory).labels
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1\n0,2\n1,1\n2,0\n3,1\n4,2\n", "index 0 repeated"),
+        ("0,1\n1,1\n2,0\n3,1\n4,2\n6,0\n", "index 6 out of range"),
+        ("0,1\n1,1\n", "labels cover 2 of 6"),
+    ])
+    def test_load_labels_checks_as_load_dataset(self, tmp_path, rows, message):
+        save_dataset(synthetic_dataset("classes3:rand6", 2), tmp_path / "ds")
+        (tmp_path / "ds" / "labels.csv").write_text("index,label\n" + rows)
+        for read in (load_dataset, load_labels):
+            with pytest.raises(FormatError, match=message):
+                read(tmp_path / "ds")

@@ -313,11 +313,16 @@ def pixel_measure(rng, atoms, side=12):
 
 def linprog_value(cost, a, b):
     """The transportation LP through scipy's public ``linprog``, with the
-    solver options ``_solve_lp`` passes HiGHS: dual simplex, no presolve."""
+    solver options of ``_solve_lp``'s first run: dual simplex, the dual
+    pricing of ``ot._LP_OPTIONS``, no presolve."""
     m, n = cost.shape
+    pricing = {0: "dantzig", 1: "devex", 2: "steepest"}[
+        ot._LP_OPTIONS.simplex_dual_edge_weight_strategy]
     res = linprog(cost.ravel(), A_eq=kron_marginal_matrix(m, n),
                   b_eq=np.concatenate([a, b]), bounds=(0, None),
-                  method="highs-ds", options={"presolve": False})
+                  method="highs-ds",
+                  options={"presolve": False,
+                           "simplex_dual_edge_weight_strategy": pricing})
     assert res.status == 0, res.message
     return max(float(res.fun), 0.0)
 
@@ -499,6 +504,27 @@ class TestShortlist:
             assert first > full * (1 + 1e-9)
             assert len(runs[-1]) >= 2
             assert abs(value - full) <= 1e-12 * full
+
+    def test_pricing_rounds_resume_by_primal_simplex(self, monkeypatch):
+        # the first run is dual simplex; after addCols the kept basis is
+        # still primal feasible, so every later run is primal simplex
+        strategies, run = [], ot._run
+
+        def recording(solver):
+            strategies.append(solver.getOptionValue("simplex_strategy")[1])
+            run(solver)
+
+        monkeypatch.setattr(ot, "_run", recording)
+        simplex = ot._highs.simplex_constants.SimplexStrategy
+        dual = int(simplex.kSimplexStrategyDual)
+        primal = int(simplex.kSimplexStrategyPrimal)
+        rounds = 0
+        for mu, nu in lp_instances() + scattered_pairs():
+            strategies.clear()
+            lp_value(mu, nu)
+            assert strategies == [dual] + [primal] * (len(strategies) - 1)
+            rounds = max(rounds, len(strategies) - 1)
+        assert rounds >= 2
 
 
 class TestW2Matrix:
