@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .embedding import choose_dimension, mds, spectrum
-from .errors import DegenerateClasses, EmptyTrainSet, InvariantViolation
+from .errors import InvariantViolation, UsageError
 from .matrixio import DistanceMatrix, MatrixKind, freeze
 from .measures import MeasureDataset
 from .nystrom import ColumnBlock
@@ -83,7 +83,7 @@ def knn1_classify(train_points: np.ndarray, train_labels: np.ndarray,
     test_points = np.atleast_2d(np.asarray(test_points, dtype=np.float64))
     train_labels = np.asarray(train_labels)
     if train_points.shape[0] == 0:
-        raise EmptyTrainSet("1-NN needs at least one training point")
+        raise UsageError("1-NN needs at least one training point")
     dists = cdist(test_points, train_points, "sqeuclidean")
     return train_labels[np.argmin(dists, axis=1)]
 
@@ -102,9 +102,7 @@ def lda_classify(train_points: np.ndarray, train_labels: np.ndarray,
     y = np.asarray(train_labels)
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2 or counts.min() < 2:
-        raise DegenerateClasses(
-            "LDA needs >= 2 classes with >= 2 training points each"
-        )
+        raise UsageError("LDA needs >= 2 classes with >= 2 training points each")
     n, p = X.shape
     means = np.stack([X[y == c].mean(axis=0) for c in classes])
     pooled = np.zeros((p, p))

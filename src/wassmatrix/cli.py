@@ -46,7 +46,7 @@ from .classify import (
     stability_experiment,
 )
 from .embedding import choose_dimension, mds, save_embedding, spectrum
-from .errors import ConfigError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .mc import McConfig, complete_mc
 from .measures import (
     load_dataset,
@@ -84,9 +84,9 @@ def resolved_workers(workers: int | None) -> int:
     try:
         workers = int(value)
     except ValueError as exc:
-        raise ConfigError(f"bad {source} value {value!r}") from exc
+        raise UsageError(f"bad {source} value {value!r}") from exc
     if workers < 1:
-        raise ConfigError(f"{source} must be >= 1, got {workers}")
+        raise UsageError(f"{source} must be >= 1, got {workers}")
     return workers
 
 
@@ -104,7 +104,7 @@ def _fractions(raw: str) -> list:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ConfigError(message)
+        raise UsageError(message)
 
 
 def _load_source_dataset(args: argparse.Namespace):
@@ -228,10 +228,13 @@ def cmd_complete(args: argparse.Namespace) -> int:
                  "nystrom needs at least one fully observed column")
         block = ColumnBlock.from_matrix(matrix, indices)
         estimate = complete_nystrom(block)
+        rank, sigma = block.effective_rank, block.core_singular_values
         report_obj = {
             "columns": int(block.indices.size),
             "pinv_tolerance": PINV_TOLERANCE,
-            "core_effective_rank": block.effective_rank,
+            "core_effective_rank": rank,
+            # sigma_1 / sigma_r over the singular values U^+ keeps
+            "core_condition": float(sigma[0] / sigma[rank - 1]) if rank else None,
         }
     w2m = _out_path(args.out, ".w2m")
     matrixio.save(estimate, w2m)
@@ -412,9 +415,9 @@ def _read_config(path: str) -> dict:
     try:
         loaded = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise UsageError(f"{path}: config must be a JSON object")
     return loaded
 
 
@@ -426,7 +429,7 @@ def _as_default(key: str, value, current):
         if value in ("true", "false"):
             value = value == "true"
         if not isinstance(value, bool):
-            raise ConfigError(f"{key} takes true or false, got {value!r}")
+            raise UsageError(f"{key} takes true or false, got {value!r}")
         return value
     if value is None:
         return None
@@ -444,7 +447,7 @@ def _parse_args(argv=None) -> argparse.Namespace:
     for pair in args.set or []:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
+            raise UsageError(f"--set expects key=value, got {pair!r}")
         values[key.strip()] = value.strip()
     if not values:
         return args
@@ -452,7 +455,7 @@ def _parse_args(argv=None) -> argparse.Namespace:
     defaults = {}
     for key, value in values.items():
         if key not in options:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {key!r}")
         defaults[key] = _as_default(key, value, getattr(args, key))
     commands[args.command].set_defaults(**defaults)
     return parser.parse_args(argv)
@@ -467,7 +470,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, NumericalError, BrokenProcessPool) as exc:
         print(f"wassmatrix: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"wassmatrix: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

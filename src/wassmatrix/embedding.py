@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionOutOfRange
-from .matrixio import DistanceMatrix
+from .errors import UsageError
+from .matrixio import DistanceMatrix, MatrixKind
 from .nystrom import ColumnBlock
 
 _SIGN_TOL = 1e-12
@@ -110,7 +110,8 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     :class:`ColumnBlock` (D = C W C^T, W = U^+) takes the O(N c^2) route:
     with the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
     eigenproblem gives every nonzero eigenvalue and Q lifts its vectors.
-    A :class:`Spectrum` is returned as is.
+    A :class:`Spectrum` is returned as is.  A PARTIAL matrix raises
+    :class:`UsageError`: its unobserved entries are not distances.
     """
     if isinstance(source, Spectrum):
         return source
@@ -120,6 +121,8 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
         small = -0.5 * (r @ source.core_pinv @ r.T)
         evals, y = np.linalg.eigh(0.5 * (small + small.T))
         return _descending(evals, q @ y, source.size)
+    if source.kind is MatrixKind.PARTIAL:
+        raise UsageError("MDS needs a FULL or ESTIMATED matrix, got PARTIAL")
     evals, evecs = np.linalg.eigh(double_center(source.values))
     return _descending(evals, evecs, source.size)
 
@@ -134,7 +137,7 @@ def mds(source: DistanceMatrix | ColumnBlock | Spectrum, d: int) -> Embedding:
     spec = spectrum(source)
     n = spec.size
     if not 1 <= d <= n - 1:
-        raise DimensionOutOfRange(f"need 1 <= d <= {n - 1}, got {d}")
+        raise UsageError(f"need 1 <= d <= {n - 1}, got {d}")
     retained, vectors = spec.top(d)
     coords = _fix_signs(vectors) * np.sqrt(np.maximum(retained, 0.0))
     evals = spec.eigenvalues

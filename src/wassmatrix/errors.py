@@ -1,10 +1,26 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one family per exit code.
 
 ``WassmatrixError`` is the common base so callers can catch everything
-from this library with a single except clause.  ``UsageError`` groups
-bad-input conditions (wrong shapes, malformed files, inconsistent
-configuration); ``NumericalError`` groups failures of the numerical
-machinery itself (non-convergent solves, degenerate instances).
+from this library with a single except clause.  Below it are two
+families, and ``wassmatrix`` (``cli.main``) maps each to an exit code:
+
+* ``UsageError`` -- bad input: wrong shapes or sizes, out-of-range
+  counts, malformed files, inconsistent configuration.  Exit 1.  It is
+  also a ``ValueError``, so one ``except ValueError`` catches every
+  bad-input path, including the plain ``ValueError`` raises.
+* ``NumericalError`` -- the numerical machinery failed on a valid
+  input: a solver without an optimal plan, a diverging completion, a
+  degenerate Nystrom core, an all-zero truth matrix.  Exit 2.
+
+A raise site names its condition in the message, not in a subclass.
+The subclasses kept are the ones with a reader of their type or a
+documented failure:
+
+* ``InvariantViolation`` -- a domain type was built with inconsistent
+  contents; ``matrixio.load`` re-raises it as ``FormatError``.
+* ``FormatError`` -- the documented failure for a malformed file.
+* ``SolverFailure`` and ``Diverged`` -- the documented failures of the
+  transport LP and of matrix completion.
 """
 
 
@@ -12,26 +28,12 @@ class WassmatrixError(Exception):
     """Base class for all errors raised by wassmatrix."""
 
 
-class UsageError(WassmatrixError):
-    """Invalid input, file, or configuration."""
+class UsageError(WassmatrixError, ValueError):
+    """Invalid input, file, or configuration (exit 1)."""
 
 
 class NumericalError(WassmatrixError):
-    """A numerical routine failed on an otherwise valid input."""
-
-
-# --- input / construction errors -------------------------------------------
-
-class DimensionMismatch(UsageError):
-    """Operands live in different ambient dimensions."""
-
-
-class AllPixelsBelowThreshold(UsageError):
-    """No pixel exceeds the ingestion threshold, so no measure exists."""
-
-
-class NonpositiveScale(UsageError):
-    """Dilation factors must be strictly positive."""
+    """A numerical routine failed on an otherwise valid input (exit 2)."""
 
 
 class InvariantViolation(UsageError):
@@ -42,63 +44,9 @@ class FormatError(UsageError):
     """A persisted file is malformed (bad magic, truncation, asymmetry)."""
 
 
-class SizeMismatch(UsageError):
-    """Two matrices that must share a size do not."""
-
-
-class ShapeMismatch(UsageError):
-    """Two arrays that must share a shape do not."""
-
-
-class NotCentered(UsageError):
-    """An embedding expected to have zero column means does not."""
-
-
-class EmptyPlan(UsageError):
-    """A sample plan or observation set came out empty."""
-
-
-class CountOutOfRange(UsageError):
-    """A requested column count is outside [1, N]."""
-
-
-class DimensionOutOfRange(UsageError):
-    """A requested embedding dimension is outside [1, N-1]."""
-
-
-class IndexOutOfRange(UsageError):
-    """An entry index falls outside the matrix."""
-
-
-class UnsupportedInstance(UsageError):
-    """The brute-force oracle only handles small uniform instances."""
-
-
-class EmptyTrainSet(UsageError):
-    """Classification needs at least one training point."""
-
-
-class DegenerateClasses(UsageError):
-    """LDA needs >= 2 classes with >= 2 training points each."""
-
-
-class ConfigError(UsageError):
-    """Mutually inconsistent experiment configuration."""
-
-
-# --- numerical failures -----------------------------------------------------
-
 class SolverFailure(NumericalError):
     """The transportation solver did not return an optimal plan."""
 
 
 class Diverged(NumericalError):
     """The completion residual grew for the configured patience window."""
-
-
-class DegenerateCore(NumericalError):
-    """The Nystrom core block is identically zero while columns are not."""
-
-
-class ZeroTruth(NumericalError):
-    """Relative error against an identically-zero truth matrix."""

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvariantViolation, SizeMismatch, ZeroTruth
+from .errors import FormatError, InvariantViolation, NumericalError, UsageError
 
 MAGIC = b"W2DMAT01"
 
@@ -157,12 +157,15 @@ def load(path) -> DistanceMatrix:
 # --- evaluation ----------------------------------------------------------------
 
 def relative_error(estimate: DistanceMatrix, truth: DistanceMatrix) -> float:
-    """Frobenius relative error ||D_est - D||_F / ||D||_F."""
+    """Frobenius relative error ||D_est - D||_F / ||D||_F of a FULL or
+    ESTIMATED estimate against a FULL truth."""
     if estimate.size != truth.size:
-        raise SizeMismatch(f"estimate is {estimate.size}, truth {truth.size}")
+        raise UsageError(f"estimate is {estimate.size}, truth {truth.size}")
+    if estimate.kind is MatrixKind.PARTIAL:
+        raise UsageError("estimate matrix must not be of kind PARTIAL")
     if truth.kind is not MatrixKind.FULL:
-        raise SizeMismatch("truth matrix must be of kind FULL")
+        raise UsageError("truth matrix must be of kind FULL")
     denom = float(np.linalg.norm(truth.values))
     if denom == 0.0:
-        raise ZeroTruth("truth matrix has zero Frobenius norm")
+        raise NumericalError("truth matrix has zero Frobenius norm")
     return float(np.linalg.norm(estimate.values - truth.values) / denom)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import Diverged, EmptyPlan, IndexOutOfRange
+from .errors import Diverged, UsageError
 from .matrixio import DistanceMatrix, sanitized_estimate
 
 BB_STEP_BOUNDS = (1e-12, 1e10)  # clamp on every gradient step length
@@ -104,7 +104,7 @@ def apply_A(X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-        raise IndexOutOfRange(f"pair index out of range for {n}x{n} matrix")
+        raise UsageError(f"pair index out of range for {n}x{n} matrix")
     ii, jj = pairs[:, 0], pairs[:, 1]
     return X[ii, ii] + X[jj, jj] - 2.0 * X[ii, jj]
 
@@ -201,7 +201,7 @@ def complete_mc(d_obs: DistanceMatrix,
         raise ValueError(f"rank estimate {q} exceeds matrix size {n}")
     ii, jj = d_obs.observed_pairs()
     if ii.size == 0:
-        raise EmptyPlan("no observed off-diagonal entries to fit")
+        raise UsageError("no observed off-diagonal entries to fit")
     b = d_obs.values[ii, jj]
     bnorm = float(np.linalg.norm(b)) or 1.0  # absolute residual when b = 0
 

@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AllPixelsBelowThreshold,
-    DimensionMismatch,
-    FormatError,
-    InvariantViolation,
-    NonpositiveScale,
-)
+from .errors import FormatError, InvariantViolation, UsageError
 from .matrixio import freeze
 
 _WEIGHT_TOL = 1e-12
@@ -88,14 +82,14 @@ class DiscreteMeasure:
     def translated(self, shift) -> "DiscreteMeasure":
         shift = np.asarray(shift, dtype=np.float64).ravel()
         if shift.shape[0] != self.dimension:
-            raise DimensionMismatch(
+            raise UsageError(
                 f"shift has dimension {shift.shape[0]}, measure {self.dimension}"
             )
         return DiscreteMeasure(self.points + shift, self.weights)
 
     def dilated(self, scale: float) -> "DiscreteMeasure":
         if not scale > 0:
-            raise NonpositiveScale(f"scale must be > 0, got {scale}")
+            raise UsageError(f"scale must be > 0, got {scale}")
         return DiscreteMeasure(self.points * float(scale), self.weights)
 
 
@@ -135,7 +129,7 @@ def measure_from_grid_image(pixels, threshold: float = 0.0) -> DiscreteMeasure:
 
     Support points are integer (row, col) coordinates of pixels whose
     value strictly exceeds ``threshold``; weights are proportional to the
-    pixel values.  Raises :class:`AllPixelsBelowThreshold` if nothing
+    pixel values.  Raises :class:`UsageError` if nothing
     survives the cut.
     """
     img = np.asarray(pixels, dtype=np.float64)
@@ -145,9 +139,7 @@ def measure_from_grid_image(pixels, threshold: float = 0.0) -> DiscreteMeasure:
         raise ValueError("pixel values must be nonnegative")
     rows, cols = np.nonzero(img > threshold)
     if rows.size == 0:
-        raise AllPixelsBelowThreshold(
-            f"no pixel exceeds threshold {threshold}"
-        )
+        raise UsageError(f"no pixel exceeds threshold {threshold}")
     support = np.column_stack([rows, cols]).astype(np.float64)
     return DiscreteMeasure(support, img[rows, cols])
 
@@ -165,7 +157,7 @@ def synth_translation_family(base: DiscreteMeasure, shifts,
     if shifts.ndim == 1:
         shifts = shifts[:, None]
     if shifts.shape[1] != base.dimension:
-        raise DimensionMismatch(
+        raise UsageError(
             f"shifts have dimension {shifts.shape[1]}, base {base.dimension}"
         )
     return MeasureDataset([base.translated(s) for s in shifts], labels, name)
@@ -176,7 +168,7 @@ def synth_dilation_family(base: DiscreteMeasure, scales,
     """Scale the support of ``base`` by each factor (all factors > 0)."""
     scales = np.asarray(scales, dtype=np.float64).ravel()
     if np.any(scales <= 0):
-        raise NonpositiveScale("all scales must be strictly positive")
+        raise UsageError("all scales must be strictly positive")
     return MeasureDataset([base.dilated(s) for s in scales], labels, name)
 
 

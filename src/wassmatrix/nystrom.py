@@ -26,12 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from .errors import (
-    DegenerateCore,
-    InvariantViolation,
-    NotCentered,
-    ShapeMismatch,
-)
+from .errors import InvariantViolation, NumericalError, UsageError
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
 from .matrixio import freeze, sanitized_estimate
 
@@ -74,7 +69,7 @@ class ColumnBlock:
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
         if not np.any(core) and np.any(columns):
-            raise DegenerateCore("core block is identically zero")
+            raise NumericalError("core block is identically zero")
         pinv, sigma, rank = _truncated_svd_pinv(core, PINV_TOLERANCE)
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
@@ -138,10 +133,10 @@ def procrustes_distance(Z: np.ndarray, Y: np.ndarray) -> float:
     Z = np.asarray(Z, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Z.shape != Y.shape or Z.ndim != 2:
-        raise ShapeMismatch(f"configurations differ: {Z.shape} vs {Y.shape}")
+        raise UsageError(f"configurations differ: {Z.shape} vs {Y.shape}")
     if (np.abs(Z.mean(axis=0)).max() > CENTER_TOL
             or np.abs(Y.mean(axis=0)).max() > CENTER_TOL):
-        raise NotCentered("both configurations must have zero column means")
+        raise UsageError("both configurations must have zero column means")
     d = Z.shape[1]
     u, _, vt = np.linalg.svd(Y.T @ Z)
     flip = np.ones(d)

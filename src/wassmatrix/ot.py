@@ -38,12 +38,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as _highs
 from scipy.spatial.distance import cdist
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    SolverFailure,
-    UnsupportedInstance,
-)
+from .errors import SolverFailure, UsageError
 from .matrixio import DistanceMatrix, MatrixKind
 from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
@@ -63,9 +58,7 @@ _SHORTLIST_NEIGHBOURS = 8
 def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Quadratic ground cost C_ij = ||x_i - y_j||^2."""
     if mu.dimension != nu.dimension:
-        raise DimensionMismatch(
-            f"measures live in R^{mu.dimension} and R^{nu.dimension}"
-        )
+        raise UsageError(f"measures live in R^{mu.dimension} and R^{nu.dimension}")
     return cdist(mu.points, nu.points, "sqeuclidean")
 
 
@@ -231,7 +224,7 @@ def w2_squared_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     front to back.  Exact for arbitrary weights and atom counts.
     """
     if mu.dimension != 1 or nu.dimension != 1:
-        raise DimensionMismatch("quantile closed form requires measures on R")
+        raise UsageError("quantile closed form requires measures on R")
     ix = np.argsort(mu.points[:, 0], kind="stable")
     iy = np.argsort(nu.points[:, 0], kind="stable")
     x, wx = mu.points[ix, 0], mu.weights[ix].copy()
@@ -258,11 +251,11 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     m = mu.num_atoms
     if m != nu.num_atoms:
-        raise UnsupportedInstance("brute force needs equal atom counts")
+        raise UsageError("brute force needs equal atom counts")
     if m > 8:
-        raise UnsupportedInstance(f"brute force capped at 8 atoms, got {m}")
+        raise UsageError(f"brute force capped at 8 atoms, got {m}")
     if not (mu.is_uniform() and nu.is_uniform()):
-        raise UnsupportedInstance("brute force needs uniform weights")
+        raise UsageError("brute force needs uniform weights")
     cost = cost_matrix(mu, nu)
     idx = np.arange(m)
     best = np.inf
@@ -332,7 +325,7 @@ def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
         iu, ju = np.triu_indices(n, k=1)
         return np.column_stack([iu, ju])
     if plan.size != n:
-        raise IndexOutOfRange(f"plan is for size {plan.size}, dataset has {n}")
+        raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
     if plan.is_entries:
         return plan.indices.copy()
     cols = np.zeros(n, bool)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CountOutOfRange, EmptyPlan, FormatError, InvariantViolation
+from .errors import FormatError, InvariantViolation, UsageError
 from .matrixio import freeze
 
 ENTRIES = "entries"
@@ -116,7 +116,7 @@ def sample_entries(n: int, rate: float, seed: int) -> SamplePlan:
     total = n * (n - 1) // 2
     count = int(round(rate * total))
     if count < 1:
-        raise EmptyPlan(f"rate {rate} yields no pairs for N={n}")
+        raise UsageError(f"rate {rate} yields no pairs for N={n}")
     rng = np.random.default_rng(seed)
     sel = rng.choice(total, size=count, replace=False)
     sel.sort()
@@ -132,7 +132,7 @@ def sample_entries(n: int, rate: float, seed: int) -> SamplePlan:
 def sample_columns(n: int, c: int, seed: int) -> SamplePlan:
     """Uniform sample of c distinct column indices."""
     if not 1 <= c <= n:
-        raise CountOutOfRange(f"need 1 <= c <= {n}, got {c}")
+        raise UsageError(f"need 1 <= c <= {n}, got {c}")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=c, replace=False))
     return SamplePlan(COLUMNS, idx, seed, n)

@@ -27,11 +27,7 @@ from wassmatrix.classify import (
     save_series_csv,
     save_summary_json,
 )
-from wassmatrix.errors import (
-    DegenerateClasses,
-    EmptyTrainSet,
-    InvariantViolation,
-)
+from wassmatrix.errors import InvariantViolation, UsageError
 
 
 class TestSplit:
@@ -80,7 +76,7 @@ class TestKnn1:
         assert knn1_classify(train, labels, np.array([[0.0]])).tolist() == [5]
 
     def test_empty_train_set(self):
-        with pytest.raises(EmptyTrainSet):
+        with pytest.raises(UsageError, match=r"1-NN needs at least one training point"):
             knn1_classify(np.zeros((0, 2)), np.array([]), np.zeros((1, 2)))
 
     def test_matches_bruteforce_scan(self):
@@ -131,9 +127,11 @@ class TestLda:
         assert abs(acc - 1 / 3) <= 3 * np.sqrt((1 / 3) * (2 / 3) / 300)
 
     def test_degenerate_classes(self):
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(UsageError, match=r"LDA needs >= 2 classes with "
+                                             r">= 2 training points each"):
             lda_classify(np.zeros((3, 2)), np.array([0, 0, 0]), np.zeros((1, 2)))
-        with pytest.raises(DegenerateClasses):
+        with pytest.raises(UsageError, match=r"LDA needs >= 2 classes with "
+                                             r">= 2 training points each"):
             lda_classify(np.zeros((3, 2)), np.array([0, 0, 1]), np.zeros((1, 2)))
 
     def test_collinear_features_survive_ridge(self):

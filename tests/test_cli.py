@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from wassmatrix import (
     StabilityConfig,
+    errors,
     load_dataset,
     relative_error,
     stability_experiment,
@@ -149,6 +151,20 @@ class TestComplete:
         assert report["core_effective_rank"] == int(
             np.sum(sigma > report["pinv_tolerance"] * sigma[0]))
         assert report["core_effective_rank"] == 4  # planar translations
+        assert report["core_condition"] == pytest.approx(
+            sigma[0] / sigma[3], rel=1e-12, abs=0.0)
+
+    def test_nystrom_all_zero_input_has_no_condition(self, tmp_path, capsys):
+        n = 3  # a FULL all-zero matrix, written byte by byte
+        (tmp_path / "z.w2m").write_bytes(
+            b"W2DMAT01" + struct.pack("<Q", n) + bytes(8 * n * n)
+            + bytes([1]) * (n * n) + bytes([0]))
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "z.w2m", "--out", tmp_path / "est") == 0
+        report = json.loads((tmp_path / "est.report.json").read_text())
+        assert report["core_effective_rank"] == 0
+        assert report["core_condition"] is None
+        np.testing.assert_array_equal(load(tmp_path / "est.w2m").values, 0.0)
 
     def test_mc_round_trip(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
@@ -342,6 +358,22 @@ class TestEmbedAndEval:
         assert capsys.readouterr().err.strip()
         assert not (tmp_path / "emb.csv").exists()
 
+    @pytest.mark.parametrize("command", ["embed", "eval"])
+    def test_partial_matrix_rejected(self, pipeline_dirs, capsys, command):
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--columns", 4, "--out", tmp_path / "cols")
+        capsys.readouterr()
+        argv = {"embed": ("--input", tmp_path / "cols.w2m"),
+                "eval": ("--estimate", tmp_path / "cols.w2m",
+                         "--truth", tmp_path / "full.w2m")}[command]
+        assert run(command, *argv, "--out", tmp_path / "x.out") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("wassmatrix: error:")
+        assert "PARTIAL" in captured.err
+        assert not list(tmp_path.glob("x.out*"))
+
     def test_eval_prints_relative_error(self, pipeline_dirs, capsys):
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--columns", 8, "--seed", 5,
@@ -425,6 +457,41 @@ class TestClassify:
         assert run("classify", "--synthetic", "translations:grid3",
                    "--fractions", "1.0", "--trials", 1,
                    "--out", tmp_path / "x") == 1
+
+
+ERROR_CLASSES = [obj for obj in vars(errors).values() if isinstance(obj, type)
+                 and issubclass(obj, errors.WassmatrixError)
+                 and obj is not errors.WassmatrixError]
+
+
+class TestExitCodes:
+    def test_errors_module_defines_seven_classes(self):
+        defined = {name for name, obj in vars(errors).items()
+                   if isinstance(obj, type) and obj.__module__ == errors.__name__}
+        assert defined == {"WassmatrixError", "UsageError", "NumericalError",
+                           "FormatError", "InvariantViolation",
+                           "SolverFailure", "Diverged"}
+        assert issubclass(errors.UsageError, ValueError)
+        assert not issubclass(errors.NumericalError, ValueError)
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_exit_code(self, tmp_path, capsys, monkeypatch, cls):
+        from wassmatrix import cli
+
+        def fail(_path):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli.matrixio, "load", fail)
+        code = run("eval", "--estimate", tmp_path / "a.w2m",
+                   "--truth", tmp_path / "b.w2m")
+        err = capsys.readouterr().err
+        if issubclass(cls, errors.UsageError):
+            assert code == 1
+            assert err == "wassmatrix: error: injected\n"
+        else:
+            assert issubclass(cls, errors.NumericalError)
+            assert code == 2
+            assert err == "wassmatrix: numerical failure: injected\n"
 
 
 class TestConfigHandling:

@@ -23,7 +23,7 @@ from wassmatrix.embedding import (
     load_embedding_coords,
     save_embedding,
 )
-from wassmatrix.errors import DimensionOutOfRange
+from wassmatrix.errors import UsageError
 
 
 def edm_of(points):
@@ -124,10 +124,24 @@ class TestMds:
 
     def test_dimension_out_of_range(self):
         full = DistanceMatrix.full(np.zeros((4, 4)))
-        with pytest.raises(DimensionOutOfRange):
+        with pytest.raises(UsageError, match=r"need 1 <= d <= 3, got 0"):
             mds(full, 0)
-        with pytest.raises(DimensionOutOfRange):
+        with pytest.raises(UsageError, match=r"need 1 <= d <= 3, got 4"):
             mds(full, 4)
+
+    def test_partial_matrix_rejected(self):
+        # unobserved entries are zero-filled, not distances
+        rng = np.random.default_rng(57)
+        values = edm_of(rng.normal(size=(6, 2)))
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[:, :2] = mask[:2, :] = True
+        np.fill_diagonal(mask, True)
+        partial = DistanceMatrix.partial(np.where(mask, values, 0.0), mask)
+        for call in (spectrum, lambda m: mds(m, 2),
+                     lambda m: choose_dimension(m, 0.9)):
+            with pytest.raises(UsageError, match=r"MDS needs a FULL or "
+                                                 r"ESTIMATED matrix, got PARTIAL"):
+                call(partial)
 
 
 class TestChooseDimension:

@@ -5,8 +5,8 @@ from wassmatrix import DistanceMatrix, MatrixKind, relative_error
 from wassmatrix.errors import (
     FormatError,
     InvariantViolation,
-    SizeMismatch,
-    ZeroTruth,
+    NumericalError,
+    UsageError,
 )
 from wassmatrix.matrixio import load, sanitized_estimate, save
 
@@ -196,18 +196,27 @@ class TestRelativeError:
 
     def test_size_mismatch(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(UsageError, match=r"estimate is 3, truth 4"):
             relative_error(random_full(rng, 3), random_full(rng, 4))
 
     def test_partial_truth_rejected(self):
         rng = np.random.default_rng(6)
         truth = random_partial(rng, 4)
         est = random_full(rng, 4)
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(UsageError, match=r"truth matrix must be of kind FULL"):
+            relative_error(est, truth)
+
+    def test_partial_estimate_rejected(self):
+        rng = np.random.default_rng(7)
+        est = random_partial(rng, 4)
+        truth = random_full(rng, 4)
+        with pytest.raises(UsageError,
+                           match=r"estimate matrix must not be of kind PARTIAL"):
             relative_error(est, truth)
 
     def test_zero_truth(self):
         truth = DistanceMatrix.full(np.zeros((3, 3)))
         est = DistanceMatrix.full(np.zeros((3, 3)))
-        with pytest.raises(ZeroTruth):
+        with pytest.raises(NumericalError,
+                           match=r"truth matrix has zero Frobenius norm"):
             relative_error(est, truth)

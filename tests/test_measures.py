@@ -13,13 +13,7 @@ from wassmatrix import (
     w2_squared_1d,
     w2_squared_bruteforce,
 )
-from wassmatrix.errors import (
-    AllPixelsBelowThreshold,
-    DimensionMismatch,
-    FormatError,
-    InvariantViolation,
-    NonpositiveScale,
-)
+from wassmatrix.errors import FormatError, InvariantViolation, UsageError
 from wassmatrix.measures import (
     load_dataset,
     load_labels,
@@ -65,7 +59,7 @@ class TestDiscreteMeasure:
 
     def test_translated_dimension_mismatch(self):
         mu = two_atom_base()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UsageError, match=r"shift has dimension 3, measure 2"):
             mu.translated([1.0, 2.0, 3.0])
 
 
@@ -115,7 +109,7 @@ class TestGridImage:
         assert mu.num_atoms == 1
 
     def test_all_below_threshold(self):
-        with pytest.raises(AllPixelsBelowThreshold):
+        with pytest.raises(UsageError, match=r"no pixel exceeds threshold 5\.0"):
             measure_from_grid_image([[1.0, 1.0]], 5.0)
 
     def test_zero_padding_invariance(self):
@@ -151,7 +145,7 @@ class TestSyntheticFamilies:
                 assert abs(full.values[i, j] - oracle) <= 1e-9
 
     def test_translation_shift_dimension_checked(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UsageError, match=r"shifts have dimension 3, base 2"):
             synth_translation_family(two_atom_base(), [(1.0, 2.0, 3.0)])
 
     def test_translation_family_is_isometric_to_shifts(self):
@@ -180,7 +174,7 @@ class TestSyntheticFamilies:
         assert w2_squared_1d(data[0], data[1]) == pytest.approx(4.0, abs=1e-12)
 
     def test_dilation_rejects_nonpositive(self):
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(UsageError, match=r"all scales must be strictly positive"):
             synth_dilation_family(two_atom_base(), [1.0, 0.0])
 
 

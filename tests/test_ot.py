@@ -19,12 +19,7 @@ from wassmatrix import (
     w2_squared_1d,
     w2_squared_bruteforce,
 )
-from wassmatrix.errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    SolverFailure,
-    UnsupportedInstance,
-)
+from wassmatrix.errors import SolverFailure, UsageError
 from wassmatrix import ot
 from wassmatrix.measures import two_atom_base
 from wassmatrix.sampling import ENTRIES, SamplePlan
@@ -88,7 +83,7 @@ class TestW2Squared:
     def test_dimension_mismatch(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
         nu = DiscreteMeasure([[0.0, 0.0]], [1.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UsageError, match=r"measures live in R\^1 and R\^2"):
             w2_squared(mu, nu)
 
     def test_symmetry(self):
@@ -158,19 +153,19 @@ class TestBruteForceOracle:
 
     def test_rejects_nonuniform(self):
         mu = DiscreteMeasure([0.0, 1.0], [0.25, 0.75])
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(UsageError, match=r"brute force needs uniform weights"):
             w2_squared_bruteforce(mu, mu)
 
     def test_rejects_large(self):
         m = 9
         mu = DiscreteMeasure(np.arange(m, dtype=float), np.full(m, 1.0 / m))
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(UsageError, match=r"brute force capped at 8 atoms, got 9"):
             w2_squared_bruteforce(mu, mu)
 
     def test_rejects_unequal_counts(self):
         mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
         nu = DiscreteMeasure([0.0, 1.0, 2.0], [1 / 3] * 3)
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(UsageError, match=r"brute force needs equal atom counts"):
             w2_squared_bruteforce(mu, nu)
 
     def test_oracle_equivalence(self):
@@ -186,7 +181,8 @@ class TestBruteForceOracle:
 class TestQuantileOracle:
     def test_needs_1d(self):
         mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UsageError,
+                           match=r"quantile closed form requires measures on R"):
             w2_squared_1d(mu, mu)
 
     def test_1d_equivalence(self):
@@ -695,7 +691,7 @@ class TestW2Matrix:
         data = synth_translation_family(two_atom_base(),
                                         [(0.0, 0.0), (1.0, 1.0)])
         plan = sample_columns(5, 2, seed=1)
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(UsageError, match=r"plan is for size 5, dataset has 2"):
             w2_matrix(data, plan)
 
     def test_dimension_mismatch_propagates(self):
@@ -703,5 +699,5 @@ class TestW2Matrix:
             DiscreteMeasure([[0.0, 0.0]], [1.0]),
             DiscreteMeasure([[0.0]], [1.0]),
         ])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UsageError, match=r"measures live in R\^2 and R\^1"):
             w2_matrix(bad)
