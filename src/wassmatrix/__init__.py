@@ -20,7 +20,7 @@ from .embedding import Embedding, Spectrum, choose_dimension, mds, spectrum
 from .matrixio import DistanceMatrix, MatrixKind, relative_error
 from .matrixio import load as load_matrix
 from .matrixio import save as save_matrix
-from .mc import ConvergenceReport, McConfig, apply_A, bb_step, complete_mc
+from .mc import ConvergenceReport, McConfig, apply_A, complete_mc
 from .measures import (
     DiscreteMeasure,
     MeasureDataset,
@@ -59,7 +59,6 @@ __all__ = [
     "SplitPlan",
     "StabilityConfig",
     "apply_A",
-    "bb_step",
     "budget_to_columns",
     "choose_dimension",
     "complete_mc",

@@ -11,9 +11,11 @@ Subcommands compose the library into reproducible pipelines::
     wassmatrix budget    --n 2000 --rate 0.10
 
 Every command is deterministic given its options; all stage randomness
-derives from the single ``--seed`` by stage-name hashing, and each
-command writes a manifest of its options with enough to re-run it
-bit-identically; output files append suffixes to the ``--out`` base.
+derives from the single ``--seed`` by stage-name hashing.  ``synth``,
+``dist``, ``complete``, ``embed`` and ``classify`` write a manifest of
+their options with enough to re-run them bit-identically; ``eval`` and
+``budget`` write only their optional JSON result.  Output files append
+suffixes to the ``--out`` base.
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
 options by name (``rank_estimate``); values get the option's type, and
 flags win over ``--set``, which wins over the file.  Exit codes: 0
@@ -221,7 +223,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
         if not extra["converged"]:
             print(f"wassmatrix: warning: MC did not converge: residual "
                   f"{report.final_residual:.3g} > {args.residual_tolerance:g} "
-                  f"after {report.iterations} steps", file=sys.stderr)
+                  f"after {report.iterations} operator products "
+                  f"({report.outer_iterations} LM steps)", file=sys.stderr)
     else:
         indices = np.flatnonzero(matrix.mask.all(axis=0))
         _require(indices.size > 0,
@@ -358,9 +361,13 @@ def make_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--rank-estimate", dest="rank_estimate", type=int,
                    default=McConfig.rank_estimate)
     p.add_argument("--max-outer-iters", dest="max_outer_iters", type=int,
-                   default=McConfig.max_outer_iters)
+                   default=McConfig.max_outer_iters,
+                   help="mc: times --inner-steps, the cap on operator "
+                        "products (CG iterations and trial points) of the run")
     p.add_argument("--inner-steps", dest="inner_steps", type=int,
-                   default=McConfig.inner_steps)
+                   default=McConfig.inner_steps,
+                   help="mc: the cap on CG iterations of one LM step, and "
+                        "a factor of the run's product cap")
     p.add_argument("--residual-tolerance", dest="residual_tolerance",
                    type=float, default=McConfig.residual_tolerance)
     p.add_argument("--seed", type=int, default=0)

@@ -219,6 +219,66 @@ class TestComplete:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "div.w2m").exists()
 
+    def test_mc_non_finite_residual_exits_2(self, pipeline_dirs, capsys,
+                                            monkeypatch):
+        from wassmatrix import mc
+
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--rate", 0.6, "--seed", 5,
+            "--out", tmp_path / "ent")
+        capsys.readouterr()
+        monkeypatch.setattr(mc, "_residual",
+                            lambda P, b: np.full(b.shape, np.inf))
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "ent.w2m",
+                   "--out", tmp_path / "div") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wassmatrix: numerical failure: residual "
+                                "became non-finite after 0 LM steps\n")
+        assert not (tmp_path / "div.w2m").exists()
+
+    def test_mc_budget_exhausted_warns(self, pipeline_dirs, capsys):
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--rate", 0.6, "--seed", 5,
+            "--out", tmp_path / "ent")
+        capsys.readouterr()
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "ent.w2m", "--rank-estimate", 4,
+                   "--max-outer-iters", 3, "--inner-steps", 4,
+                   "--out", tmp_path / "cap") == 0
+        report = json.loads((tmp_path / "cap.report.json").read_text())
+        assert report["stop_reason"] == "max_iters"
+        assert 0 < report["iterations"] <= 3 * 4
+        assert report["rank"] == 4
+        err = capsys.readouterr().err
+        assert err == (f"wassmatrix: warning: MC did not converge: residual "
+                       f"{report['final_residual']:.3g} > 1e-06 after "
+                       f"{report['iterations']} operator products "
+                       f"({report['outer_iterations']} LM steps)\n")
+        manifest = json.loads((tmp_path / "cap.manifest.json").read_text())
+        assert manifest["converged"] is False
+
+    def test_mc_documented_five_percent_case(self, tmp_path, capsys):
+        # 5% of a 200-measure translation family: a sample on which the
+        # multiplier method once diverged, and later ran to its step cap
+        run("synth", "--spec", "translations:rand200", "--seed", 1886562264,
+            "--out", tmp_path / "data")
+        run("dist", "--data", tmp_path / "data", "--full",
+            "--out", tmp_path / "full")
+        run("dist", "--data", tmp_path / "data", "--rate", 0.05,
+            "--seed", 1158894405, "--out", tmp_path / "e05")
+        assert run("complete", "--algorithm", "mc",
+                   "--input", tmp_path / "e05.w2m", "--rank-estimate", 5,
+                   "--seed", 1158894405, "--out", tmp_path / "est") == 0
+        manifest = json.loads((tmp_path / "est.manifest.json").read_text())
+        assert manifest["converged"] is True
+        report = json.loads((tmp_path / "est.report.json").read_text())
+        assert report["stop_reason"] == "converged"
+        assert report["rank"] == 2
+        assert relative_error(load(tmp_path / "est.w2m"),
+                              load(tmp_path / "full.w2m")) <= 1e-6
+
     def test_dotted_out_base_is_kept(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         run("synth", "--spec", "translations:rand12", "--out", data_dir)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wassmatrix import DistanceMatrix, McConfig, apply_A, bb_step, complete_mc
+from wassmatrix import DistanceMatrix, McConfig, apply_A, complete_mc
 from wassmatrix import mc
 from wassmatrix.errors import Diverged, UsageError
 from wassmatrix.matrixio import MatrixKind
@@ -120,27 +120,117 @@ class TestIncidenceRoute:
             Q = Q - 1e-3 * g
 
 
-class TestBBStep:
-    def test_unit_quadratic(self):
-        # f(x) = ||x||^2 / 2 has gradient x, so dg = dx and the step is 1
-        x0 = np.array([1.0, 2.0])
-        x1 = np.array([0.5, -1.0])
-        assert bb_step(x1, x0, x1, x0) == pytest.approx(1.0)
+def observed(truth, rng, rate):
+    """PARTIAL matrix of a random ``rate`` share of the upper triangle."""
+    n = truth.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    sel = rng.choice(iu.size, int(round(rate * iu.size)), replace=False)
+    mask = np.eye(n, dtype=bool)
+    mask[iu[sel], ju[sel]] = True
+    mask[ju[sel], iu[sel]] = True
+    return DistanceMatrix.partial(np.where(mask, truth, 0.0), mask)
 
-    def test_negative_curvature_falls_back(self):
-        x0, x1 = np.array([0.0]), np.array([1.0])
-        g0, g1 = np.array([1.0]), np.array([0.0])  # <dx, dg> = -1
-        assert bb_step(g1, g0, x1, x0, bounds=(1e-6, 10.0)) == 1e-6
 
-    def test_scaled_quadratic(self):
-        # f(x) = a x^2 / 2 gives step 1/a for any pair of iterates
-        a = 7.0
-        x0, x1 = np.array([2.0]), np.array([-0.5])
-        assert bb_step(a * x1, a * x0, x1, x0) == pytest.approx(1.0 / a)
+class TestJacobian:
+    """J V = 2 rowsum(P * E^T V) and J^T w = ``_gradient`` against
+    central differences of the residual, and against each other."""
 
-    def test_clamping(self):
-        x0, x1 = np.array([0.0]), np.array([1.0])
-        assert bb_step(0.5 * x1, 0.5 * x0, x1, x0, bounds=(1e-6, 1.0)) == 1.0
+    def instance(self, seed):
+        rng = np.random.default_rng(seed)
+        Q, pairs, b, lam = random_instance(rng, n=9, q=3, n_pairs=14)
+        E, et = mc._incidence(pairs[:, 0], pairs[:, 1], 9)
+        return rng, Q, b, E, et
+
+    def test_jacobian_matches_central_differences(self):
+        h = 1e-6
+        for seed in range(10):
+            rng, Q, b, E, et = self.instance(seed)
+            V = rng.normal(size=Q.shape)
+            got = mc._jacobian(et, et @ Q, V)
+            fd = (mc._residual(et @ (Q + h * V), b)
+                  - mc._residual(et @ (Q - h * V), b)) / (2 * h)
+            assert np.linalg.norm(fd - got) <= 1e-7 * np.linalg.norm(got)
+
+    def test_adjoint_matches_central_differences(self):
+        # J^T w is the gradient of <w, r(Q)>
+        h = 1e-6
+        for seed in range(10):
+            rng, Q, b, E, et = self.instance(seed)
+            w = rng.normal(size=b.size)
+            got = mc._gradient(E, et @ Q, w, E.copy())
+            fd = np.zeros_like(Q)
+            for idx in np.ndindex(*Q.shape):
+                step = np.zeros_like(Q)
+                step[idx] = h
+                fd[idx] = (w @ mc._residual(et @ (Q + step), b)
+                           - w @ mc._residual(et @ (Q - step), b)) / (2 * h)
+            assert np.linalg.norm(fd - got) <= 1e-7 * np.linalg.norm(got)
+
+    def test_jacobian_and_gradient_are_adjoint(self):
+        for seed in range(10):
+            rng, Q, b, E, et = self.instance(seed)
+            P = et @ Q
+            V = rng.normal(size=Q.shape)
+            w = rng.normal(size=b.size)
+            lhs = float(mc._jacobian(et, P, V) @ w)
+            rhs = float(np.vdot(V, mc._gradient(E, P, w, E.copy())))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+class TestCg:
+    """``_cg`` solves (J^T J + mu I) delta = -g over centered factors."""
+
+    def instance(self, seed=0, n=10, q=2):
+        rng = np.random.default_rng(seed)
+        Q, pairs, b, _ = random_instance(rng, n=n, q=q, n_pairs=20)
+        Q = mc._centered(Q)
+        E, et = mc._incidence(pairs[:, 0], pairs[:, 1], n)
+        P = et @ Q
+        g = mc._centered(mc._gradient(E, P, mc._residual(P, b), E.copy()))
+        return Q, E, et, P, g
+
+    def dense_normal_matrix(self, E, et, P, shape):
+        """J^T J column by column, on the basis vectors of R^{n x q}."""
+        cols = []
+        for idx in np.ndindex(*shape):
+            V = np.zeros(shape)
+            V[idx] = 1.0
+            cols.append(mc._gradient(E, P, mc._jacobian(et, P, V), E.copy()).ravel())
+        return np.column_stack(cols)
+
+    def test_matches_dense_solve(self):
+        for seed in range(5):
+            Q, E, et, P, g = self.instance(seed)
+            mu = 0.3
+            n, q = Q.shape
+            C = np.eye(n) - 1.0 / n  # projector onto centered columns
+            proj = np.kron(C, np.eye(q))
+            A = proj @ (self.dense_normal_matrix(E, et, P, Q.shape)
+                        + mu * np.eye(n * q)) @ proj
+            want = np.linalg.lstsq(A, -g.ravel(), rcond=None)[0]
+            got, k = mc._cg(E, et, E.copy(), P, g, mu, 200, 1e-13)
+            assert k < 200
+            np.testing.assert_allclose(got.ravel(), want, rtol=0,
+                                       atol=1e-9 * np.abs(want).max())
+            np.testing.assert_allclose(got.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_iteration_cap(self):
+        Q, E, et, P, g = self.instance()
+        _, k = mc._cg(E, et, E.copy(), P, g, 1e-3, 3, 0.0)
+        assert k == 3
+
+    def test_large_damping_gives_a_gradient_step(self):
+        # (J^T J + mu I)^{-1} -> I / mu as mu grows
+        Q, E, et, P, g = self.instance()
+        mu = 1e12
+        got, _ = mc._cg(E, et, E.copy(), P, g, mu, 50, 1e-12)
+        np.testing.assert_allclose(got, -g / mu, rtol=1e-6)
+
+    def test_stationary_point_takes_no_step(self):
+        Q, E, et, P, g = self.instance()
+        got, k = mc._cg(E, et, E.copy(), P, np.zeros_like(g), 1.0, 10, 0.1)
+        assert k == 0
+        np.testing.assert_array_equal(got, 0.0)
 
 
 class TestGradient:
@@ -231,8 +321,8 @@ class TestCompleteMc:
                            match=r"no observed off-diagonal entries to fit"):
             complete_mc(d_obs, McConfig(rank_estimate=2))
 
-    def test_one_residual_per_step(self, monkeypatch):
-        calls = {"residual": 0, "gradient": 0}
+    def test_one_product_per_trial_point_and_cg_iteration(self, monkeypatch):
+        calls = {"residual": 0, "jacobian": 0, "gradient": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -240,8 +330,8 @@ class TestCompleteMc:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(mc, "_residual", counting("residual", mc._residual))
-        monkeypatch.setattr(mc, "_gradient", counting("gradient", mc._gradient))
+        for name in calls:
+            monkeypatch.setattr(mc, f"_{name}", counting(name, getattr(mc, f"_{name}")))
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(20, 3))
         d_obs = DistanceMatrix.partial(edm_of(pts), np.ones((20, 20), bool))
@@ -250,14 +340,88 @@ class TestCompleteMc:
                                                 max_outer_iters=k,
                                                 inner_steps=m))
         assert report.stop_reason == "max_iters"
-        assert report.iterations == k * m
-        assert calls == {"residual": 1 + k * m, "gradient": k * m}
+        # each residual is a trial point (or the start), each J V a CG iteration
+        assert report.iterations == calls["residual"] + calls["jacobian"]
+        assert report.iterations <= k * m
+        assert calls["residual"] == 1 + report.outer_iterations
+        # J^T once per CG iteration, and once at each point a step leaves
+        assert calls["jacobian"] < calls["gradient"] <= calls["jacobian"] + calls["residual"]
+
+    def test_budget_caps_products(self):
+        rng = np.random.default_rng(13)
+        d_obs = observed(edm_of(rng.normal(size=(60, 2))), rng, 0.2)
+        for k, m in [(1, 1), (1, 7), (5, 3), (20, 10)]:
+            _, report = complete_mc(d_obs, McConfig(rank_estimate=4, seed=2,
+                                                    max_outer_iters=k,
+                                                    inner_steps=m))
+            assert report.stop_reason == "max_iters"
+            assert report.iterations <= k * m
+            assert report.final_residual > McConfig.residual_tolerance
+
+    def test_accepted_steps_never_raise_the_residual(self):
+        # at q = 1 there is no rank descent: one LM fit, one trace, and a
+        # rank-2 sample it cannot fit, so steps are rejected until it stalls
+        rng = np.random.default_rng(14)
+        d_obs = observed(edm_of(rng.normal(size=(30, 2))), rng, 0.5)
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=1, seed=3))
+        trace = np.array(report.residual_trace)
+        assert len(trace) == report.outer_iterations + 1
+        assert np.all(np.diff(trace) <= 0.0)
+        assert report.stop_reason == "max_iters"
+        assert report.rank == 1
+        assert report.iterations <= 300 * 100
+
+    def test_stalled_fit_stops_without_diverging(self):
+        # a tolerance below round-off cannot be met: LM stops when a
+        # rejected step no longer moves Q, long before the budget
+        rng = np.random.default_rng(15)
+        d_obs = DistanceMatrix.partial(edm_of(rng.normal(size=(20, 3))),
+                                       np.ones((20, 20), bool))
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=4, seed=1,
+                                                residual_tolerance=1e-300))
+        assert report.stop_reason == "max_iters"
+        assert report.final_residual < 1e-12
+        assert report.iterations < 300 * 100
 
     def test_rank_bounded_by_size(self):
         d_obs = DistanceMatrix.partial(np.zeros((3, 3)),
                                        np.ones((3, 3), bool))
         with pytest.raises(ValueError):
             complete_mc(d_obs, McConfig(rank_estimate=4))
+
+
+class TestRankDescent:
+    def test_planar_translations_give_rank_2(self):
+        rng = np.random.default_rng(16)
+        shifts = rng.uniform(0, 10, size=(80, 2))
+        d_obs = observed(edm_of(shifts), rng, 0.2)
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=5, seed=4))
+        assert report.stop_reason == "converged"
+        assert report.rank == 2
+
+    def test_points_in_r3_give_rank_3(self):
+        # criterion 04's fixture: 100 points in R^3, 30% of entries
+        rng = np.random.default_rng(4000)
+        pts = rng.standard_normal((100, 3))
+        truth = edm_of(pts)
+        est, report = complete_mc(observed(truth, rng, 0.3),
+                                  McConfig(rank_estimate=5, seed=7))
+        assert report.stop_reason == "converged"
+        assert report.rank == 3
+        assert np.linalg.norm(est.values - truth) <= 1e-5 * np.linalg.norm(truth)
+
+    def test_seed_robustness_of_fully_observed_fixture(self):
+        # the fixture of test_fully_observed_edm_recovered, for every seed
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(20, 3))
+        truth = edm_of(pts)
+        d_obs = DistanceMatrix.partial(truth, np.ones((20, 20), bool))
+        for seed in range(11):
+            cfg = McConfig(rank_estimate=5, residual_tolerance=1e-8, seed=seed)
+            est, report = complete_mc(d_obs, cfg)
+            rel = np.linalg.norm(est.values - truth) / np.linalg.norm(truth)
+            assert report.stop_reason == "converged", seed
+            assert rel <= 1e-6, seed
 
 
 class TestDiverged:
@@ -267,17 +431,24 @@ class TestDiverged:
         return DistanceMatrix.partial(edm_of(pts), np.ones((12, 12), bool))
 
     def test_non_finite_residual(self, monkeypatch):
-        monkeypatch.setattr(mc, "BB_STEP_BOUNDS", (1e3, 1e3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(Diverged, match="non-finite"):
-                complete_mc(self.d_obs(), McConfig(rank_estimate=3))
+        residual = mc._residual
+        calls = []
 
-    def test_growth_patience(self, monkeypatch):
-        monkeypatch.setattr(mc, "BB_STEP_BOUNDS", (1e-2, 1e-2))
-        monkeypatch.setattr(mc, "DIVERGENCE_PATIENCE", 1)
-        cfg = McConfig(rank_estimate=3, inner_steps=1)
-        with pytest.raises(Diverged, match="grew for 1 consecutive"):
-            complete_mc(self.d_obs(), cfg)
+        def poisoned(P, b):
+            calls.append(1)
+            r = residual(P, b)
+            return r if len(calls) < 3 else np.full_like(r, np.nan)
+
+        monkeypatch.setattr(mc, "_residual", poisoned)
+        with pytest.raises(Diverged, match="non-finite after 2 LM steps"):
+            complete_mc(self.d_obs(), McConfig(rank_estimate=3))
+
+    def test_overflowing_start_raises(self):
+        d_obs = self.d_obs()
+        huge = DistanceMatrix.partial(d_obs.values * 1e300, d_obs.mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Diverged, match="non-finite after 0 LM steps"):
+                complete_mc(huge, McConfig(rank_estimate=3))
 
 
 class TestMcConfig:
@@ -291,6 +462,7 @@ class TestMcConfig:
         from wassmatrix.mc import ConvergenceReport
         rep = ConvergenceReport(iterations=10, outer_iterations=5,
                                 final_residual=0.5, stop_reason="max_iters",
+                                rank=2,
                                 residual_trace=list(np.linspace(1, 0.5, 999)))
         obj = rep.to_json(max_trace=100)
         assert len(obj["residual_trace"]) <= 101
