@@ -17,8 +17,9 @@ their options with enough to re-run them bit-identically; ``eval`` and
 ``budget`` write only their optional JSON result.  Output files append
 suffixes to the ``--out`` base.
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
-options by name (``rank_estimate``); values get the option's type, and
-flags win over ``--set``, which wins over the file.  Exit codes: 0
+options by name: ``rank_estimate=5`` is ``--rank-estimate=5``, so a
+value gets its flag's type, choices, required and exclusivity checks.
+Flags win over ``--set``, which wins over the file.  Exit codes: 0
 success (MC stopped at its iteration cap warns on stderr), 1
 usage/configuration error, including a key the command does not take,
 2 numerical failure or a crashed worker pool.  ``WASSMATRIX_WORKERS``
@@ -65,12 +66,17 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 
-# namespace entries that are not options of the command
-_NOT_OPTIONS = frozenset({"command", "func", "config", "set"})
+# parser entries that are not options of the command
+_NOT_OPTIONS = frozenset({"command", "func", "help", "config", "set"})
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, but usage errors exit 1 instead of 2."""
+    """argparse, but usage errors exit 1 instead of 2, and a flag is
+    spelled in full (so ``--conf`` is not a ``--config`` that only the
+    command's parser sees)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -109,14 +115,6 @@ def _require(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _load_source_dataset(args: argparse.Namespace):
-    _require(bool(args.data) != bool(args.synthetic),
-             "exactly one of --data and --synthetic is required")
-    if args.data:
-        return load_dataset(args.data)
-    return synthetic_dataset(args.synthetic, derive_seed(args.seed, "synth"))
-
-
 def _out_path(base: str, suffix: str) -> Path:
     """``base + suffix`` (a dotted base stays whole), parent dir created."""
     path = Path(str(base) + suffix)
@@ -139,8 +137,6 @@ def _write_manifest(path: Path, args: argparse.Namespace, extra: dict,
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    _require(args.n is not None, "--n is required")
-    _require(args.rate is not None, "--rate is required")
     c = budget_to_columns(args.n, args.rate)
     if args.out:
         _out_path(args.out, "").write_text(json.dumps(
@@ -150,19 +146,10 @@ def cmd_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _require(args.synthetic is not None, "--spec is required")
-    _require(args.out is not None, "--out is required")
     t0 = time.perf_counter()
     data = synthetic_dataset(args.synthetic, derive_seed(args.seed, "synth"))
     out = Path(args.out)
     save_dataset(data, out)
-    (out / "dataset.json").write_text(json.dumps({
-        "name": data.name,
-        "spec": args.synthetic,
-        "seed": args.seed,
-        "size": len(data),
-        "labeled": data.labels is not None,
-    }, sort_keys=True) + "\n")
     _write_manifest(out / "synth.manifest.json", args,
                     {"size": len(data)}, time.perf_counter() - t0)
     print(f"wrote {len(data)} measures to {out}")
@@ -170,12 +157,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    _require(args.out is not None, "--out is required")
     t0 = time.perf_counter()
-    data = _load_source_dataset(args)
+    data = load_dataset(args.data)
     n = len(data)
-    modes = sum([bool(args.full), args.rate is not None, args.columns is not None])
-    _require(modes == 1, "exactly one of --full, --rate, --columns is required")
     plan_seed = derive_seed(args.seed, "plan")
     if args.full:
         plan = None
@@ -203,10 +187,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    _require(args.input is not None, "--input is required")
-    _require(args.out is not None, "--out is required")
-    _require(args.algorithm in ("mc", "nystrom"),
-             "--algorithm must be mc or nystrom")
     t0 = time.perf_counter()
     matrix = matrixio.load(args.input)
     extra = {"algorithm": args.algorithm}
@@ -214,7 +194,6 @@ def cmd_complete(args: argparse.Namespace) -> int:
         estimate, report = complete_mc(matrix, McConfig(
             rank_estimate=args.rank_estimate,
             max_outer_iters=args.max_outer_iters,
-            inner_steps=args.inner_steps,
             residual_tolerance=args.residual_tolerance,
             seed=derive_seed(args.seed, "mc"),
         ))
@@ -250,8 +229,6 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    _require(args.input is not None, "--input is required")
-    _require(args.out is not None, "--out is required")
     t0 = time.perf_counter()
     matrix = matrixio.load(args.input)
     labels = None
@@ -276,8 +253,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _require(args.input is not None, "--estimate is required")
-    _require(args.truth is not None, "--truth is required")
     estimate = matrixio.load(args.input)
     truth = matrixio.load(args.truth)
     err = matrixio.relative_error(estimate, truth)
@@ -289,10 +264,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _require(args.out is not None, "--out is required")
-    _require(bool(args.fractions), "--fractions is required")
+    _require(bool(args.fractions), "--fractions is empty")
     t0 = time.perf_counter()
-    data = _load_source_dataset(args)
+    data = load_dataset(args.data)
     _require(data.labels is not None, "classification needs a labeled dataset")
     stab_cfg = StabilityConfig(
         energy=args.energy,
@@ -330,24 +304,24 @@ def make_parser() -> tuple[argparse.ArgumentParser, dict]:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("budget", help="match an entry rate to a column count")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rate", type=float)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--rate", type=float, required=True)
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_budget)
 
     p = subs.add_parser("synth", help="generate a synthetic dataset directory")
-    p.add_argument("--spec", dest="synthetic")
-    p.add_argument("--out")
+    p.add_argument("--spec", dest="synthetic", required=True)
+    p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = subs.add_parser("dist", help="compute a (sampled) W2^2 distance matrix")
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--synthetic", help="synthetic dataset spec")
-    p.add_argument("--full", action="store_true")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--columns", type=int)
-    p.add_argument("--out", help="output base path")
+    p.add_argument("--data", required=True, help="dataset directory")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--full", action="store_true")
+    mode.add_argument("--rate", type=float)
+    mode.add_argument("--columns", type=int)
+    p.add_argument("--out", required=True, help="output base path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int,
                    help="processes for the exact pairs that are not "
@@ -355,45 +329,41 @@ def make_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_dist)
 
     p = subs.add_parser("complete", help="estimate the full matrix from samples")
-    p.add_argument("--algorithm", choices=("mc", "nystrom"))
-    p.add_argument("--input", help="observed .w2m file")
-    p.add_argument("--out")
+    p.add_argument("--algorithm", choices=("mc", "nystrom"), required=True)
+    p.add_argument("--input", required=True, help="observed .w2m file")
+    p.add_argument("--out", required=True)
     p.add_argument("--rank-estimate", dest="rank_estimate", type=int,
                    default=McConfig.rank_estimate)
     p.add_argument("--max-outer-iters", dest="max_outer_iters", type=int,
                    default=McConfig.max_outer_iters,
-                   help="mc: times --inner-steps, the cap on operator "
-                        "products (CG iterations and trial points) of the run")
-    p.add_argument("--inner-steps", dest="inner_steps", type=int,
-                   default=McConfig.inner_steps,
-                   help="mc: the cap on CG iterations of one LM step, and "
-                        "a factor of the run's product cap")
+                   help="mc: times 100 (the cap on CG iterations of one LM "
+                        "step), the cap on operator products (CG "
+                        "iterations and trial points) of the run")
     p.add_argument("--residual-tolerance", dest="residual_tolerance",
                    type=float, default=McConfig.residual_tolerance)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_complete)
 
     p = subs.add_parser("embed", help="classical MDS embedding of a matrix")
-    p.add_argument("--input", help=".w2m file")
+    p.add_argument("--input", required=True, help=".w2m file")
     p.add_argument("--dim", type=int)
     p.add_argument("--energy", type=float, default=StabilityConfig.energy)
     p.add_argument("--labels-from", dest="labels_from",
                    help="dataset directory supplying a label column")
-    p.add_argument("--out", help="embedding CSV path")
+    p.add_argument("--out", required=True, help="embedding CSV path")
     p.set_defaults(func=cmd_embed)
 
     p = subs.add_parser("eval", help="relative Frobenius error of an estimate")
-    p.add_argument("--estimate", dest="input")
-    p.add_argument("--truth")
+    p.add_argument("--estimate", dest="input", required=True)
+    p.add_argument("--truth", required=True)
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_eval)
 
     p = subs.add_parser("classify", help="classification-stability experiment")
-    p.add_argument("--data")
-    p.add_argument("--synthetic")
+    p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--matrix", dest="input",
                    help="precomputed full .w2m for the dataset")
-    p.add_argument("--fractions", type=_fractions,
+    p.add_argument("--fractions", type=_fractions, required=True,
                    help="comma-separated fractions")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--energy", type=float, default=StabilityConfig.energy)
@@ -404,7 +374,7 @@ def make_parser() -> tuple[argparse.ArgumentParser, dict]:
                         f"{','.join(StabilityConfig.classifiers)})")
     p.add_argument("--test-fraction", dest="test_fraction", type=float,
                    default=StabilityConfig.test_fraction)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int,
                    help="processes for the exact pairs that are not "
@@ -428,43 +398,49 @@ def _read_config(path: str) -> dict:
     return loaded
 
 
-def _as_default(key: str, value, current):
-    """A ``--config``/``--set`` value as the default argparse then
-    converts with the option's type: text, lists joined by commas.  A
-    switch (``current`` is a bool) takes a bool or ``true``/``false``."""
-    if isinstance(current, bool):
-        if value in ("true", "false"):
-            value = value == "true"
-        if not isinstance(value, bool):
-            raise UsageError(f"{key} takes true or false, got {value!r}")
-        return value
-    if value is None:
-        return None
-    if isinstance(value, list):
-        return ",".join(map(str, value))
-    return str(value)
-
-
-def _parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv``.  The ``--config`` file, then ``--set``, become the
-    command's defaults and ``argv`` is parsed again, so flags win."""
-    parser, commands = make_parser()
-    args = parser.parse_args(argv)
-    values = _read_config(args.config) if args.config else {}
-    for pair in args.set or []:
+def _config_flags(command: argparse.ArgumentParser, argv: list) -> list:
+    """``argv`` after the command word, with the values of its
+    ``--config`` file and then of its ``--set`` pairs put first as the
+    flags they name, so that a later value wins.  A JSON list is a comma
+    list, null is no flag, and a switch takes a bool or ``true``/``false``
+    and is the bare flag or nothing."""
+    pre = _Parser(prog=command.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    known, rest = pre.parse_known_args(argv)
+    values = _read_config(known.config) if known.config else {}
+    for pair in known.set:
         key, sep, value = pair.partition("=")
         if not sep:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         values[key.strip()] = value.strip()
-    if not values:
-        return args
-    options = vars(args).keys() - _NOT_OPTIONS
-    defaults = {}
+    options = {a.dest: a for a in command._actions
+               if a.option_strings and a.dest not in _NOT_OPTIONS}
+    flags = []
     for key, value in values.items():
         if key not in options:
             raise UsageError(f"unknown config key {key!r}")
-        defaults[key] = _as_default(key, value, getattr(args, key))
-    commands[args.command].set_defaults(**defaults)
+        flag = options[key].option_strings[0]
+        if options[key].nargs == 0:  # a switch
+            if value in ("true", "false"):
+                value = value == "true"
+            if not isinstance(value, bool):
+                raise UsageError(f"{key} takes true or false, got {value!r}")
+            flags += [flag] if value else []
+        elif value is not None:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            flags.append(f"{flag}={value}")
+    return flags + rest
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv`` in one pass, with the command's ``--config`` and
+    ``--set`` values as flags ahead of its own (see ``_config_flags``)."""
+    parser, commands = make_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in commands:
+        argv[1:] = _config_flags(commands[argv[0]], argv[1:])
     return parser.parse_args(argv)
 
 

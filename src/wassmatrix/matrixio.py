@@ -139,10 +139,10 @@ def load(path) -> DistanceMatrix:
     if len(data) != need:
         raise FormatError(f"{path}: expected {need} bytes, got {len(data)}")
     values = np.frombuffer(data, dtype="<f8", count=n * n, offset=off)
-    values = values.reshape(n, n).astype(np.float64)
+    values = values.reshape(n, n)
     off += 8 * n * n
     mask = np.frombuffer(data, dtype=np.uint8, count=n * n, offset=off)
-    mask = mask.reshape(n, n).astype(bool)
+    mask = mask.reshape(n, n)
     kind_byte = data[-1]
     try:
         kind = MatrixKind(kind_byte)

@@ -63,32 +63,32 @@ _RANK_SWITCH_RESIDUAL = 1e-3  # phase (a) residual that starts rank descent
 _POLISH_STEPS = 25  # LM steps each candidate rank gets in rank descent
 _DAMPING_START = 1e-3  # initial mu of each fit, per unit of ||r||
 _CG_FORCING = 0.1  # CG stops at min(this, relative residual) * ||J^T r||
+_CG_STEPS = 100  # cap on the CG iterations of one LM step
 
 
 @dataclass(frozen=True)
 class McConfig:
     """Solver knobs for :func:`complete_mc`.
 
-    ``max_outer_iters * inner_steps`` caps the operator products of the
+    ``max_outer_iters * _CG_STEPS`` caps the operator products of the
     whole run: one CG iteration, or one residual and gradient at a trial
-    point, is one product (one E^T and one E product).  ``inner_steps``
-    also caps the CG iterations of each LM step.  The run stops once the
-    relative observed residual ||A(QQ^T) - b|| / ||b|| is at most
+    point, is one product (one E^T and one E product).  ``_CG_STEPS``
+    (100) also caps the CG iterations of each LM step.  The run stops
+    once the relative observed residual ||A(QQ^T) - b|| / ||b|| is at most
     ``residual_tolerance``; ``rank_estimate`` is the width q of the
     factor that phase (a) fits, and ``seed`` draws its start.
     """
 
     rank_estimate: int = 10
     max_outer_iters: int = 300
-    inner_steps: int = 100
     residual_tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.rank_estimate < 1:
             raise ValueError("rank_estimate must be >= 1")
-        if self.max_outer_iters < 1 or self.inner_steps < 1:
-            raise ValueError("iteration limits must be >= 1")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be >= 1")
         if self.residual_tolerance <= 0:
             raise ValueError("residual_tolerance must be > 0")
 
@@ -240,8 +240,7 @@ class _Solver:
         self.work = self.E.copy()
         self.b = b
         self.bnorm = float(np.linalg.norm(b)) or 1.0  # absolute when b = 0
-        self.cg_cap = cfg.inner_steps
-        self.budget = cfg.max_outer_iters * cfg.inner_steps
+        self.budget = cfg.max_outer_iters * _CG_STEPS
         self.products = 0
         self.steps = 0
         self.trace: list[float] = []
@@ -271,7 +270,7 @@ class _Solver:
         nu = 2.0
         g = None
         for _ in range(max_steps):
-            cap = min(self.cg_cap, self.budget - self.products - 1)
+            cap = min(_CG_STEPS, self.budget - self.products - 1)
             if it.residual <= tol or cap < 1:
                 break
             if g is None:

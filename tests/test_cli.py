@@ -1,4 +1,5 @@
 import json
+import shlex
 import struct
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from wassmatrix import (
     synthetic_dataset,
     w2_matrix,
 )
+from wassmatrix import cli
 from wassmatrix.cli import main
 from wassmatrix.matrixio import MatrixKind, load, save
 from wassmatrix.matrixio import DistanceMatrix
@@ -21,6 +23,24 @@ from wassmatrix.matrixio import DistanceMatrix
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def datasets(tmp_path_factory):
+    """``synth --seed 0`` output directories for the commands that read
+    ``--data``, by spec with ':' as '_' (``{classes3_rand24}`` in argv)."""
+    root = tmp_path_factory.mktemp("datasets")
+    dirs = {}
+    for spec in ("translations:grid2", "translations:grid3",
+                 "translations:rand10", "classes3:rand24", "classes3:rand30"):
+        key = spec.replace(":", "_")
+        dirs[key] = root / key
+        assert run("synth", "--spec", spec, "--out", dirs[key]) == 0
+    return dirs
+
+
+def filled(argv, dirs):
+    return [str(a).format(**dirs) for a in argv]
 
 
 class TestBudget:
@@ -53,7 +73,10 @@ class TestSynthAndDist:
     def test_grid_dataset_full_matrix(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         assert run("synth", "--spec", "translations:grid3", "--out", data_dir) == 0
-        assert (data_dir / "dataset.json").exists()
+        manifest = json.loads((data_dir / "synth.manifest.json").read_text())
+        assert manifest["config"] == {"synthetic": "translations:grid3",
+                                      "seed": 0, "out": str(data_dir)}
+        assert manifest["size"] == 9
         back = load_dataset(data_dir)
         assert len(back) == 9
 
@@ -78,10 +101,10 @@ class TestSynthAndDist:
         assert ((tmp_path / "a.plan.json").read_text()
                 == (tmp_path / "b.plan.json").read_text())
 
-    def test_dist_synthetic_spec(self, tmp_path, capsys):
+    def test_synth_seed_reaches_dist(self, datasets, tmp_path, capsys):
         from wassmatrix.seeding import derive_seed
         out = tmp_path / "g3"
-        assert run("dist", "--synthetic", "translations:grid3", "--full",
+        assert run("dist", "--data", datasets["translations_grid3"], "--full",
                    "--seed", 0, "--out", out) == 0
         matrix = load(tmp_path / "g3.w2m")
         assert matrix.size == 9
@@ -89,16 +112,15 @@ class TestSynthAndDist:
                                              derive_seed(0, "synth")))
         np.testing.assert_array_equal(matrix.values, direct.values)
 
-    def test_crashed_worker_pool_exits_2(self, tmp_path, capsys,
+    def test_crashed_worker_pool_exits_2(self, datasets, tmp_path, capsys,
                                          monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
-        from wassmatrix import cli
 
         def crash(*_args):
             raise BrokenProcessPool("a worker process terminated abruptly")
 
         monkeypatch.setattr(cli, "w2_matrix", crash)
-        assert run("dist", "--synthetic", "translations:grid2", "--full",
+        assert run("dist", "--data", datasets["translations_grid2"], "--full",
                    "--workers", 2, "--out", tmp_path / "x") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -203,7 +225,6 @@ class TestComplete:
         assert manifest["converged"] is True
 
     def test_mc_diverged_exits_2(self, pipeline_dirs, capsys, monkeypatch):
-        from wassmatrix import cli
         from wassmatrix.errors import Diverged
 
         def diverge(*_args):
@@ -245,11 +266,10 @@ class TestComplete:
         capsys.readouterr()
         assert run("complete", "--algorithm", "mc",
                    "--input", tmp_path / "ent.w2m", "--rank-estimate", 4,
-                   "--max-outer-iters", 3, "--inner-steps", 4,
-                   "--out", tmp_path / "cap") == 0
+                   "--max-outer-iters", 2, "--out", tmp_path / "cap") == 0
         report = json.loads((tmp_path / "cap.report.json").read_text())
         assert report["stop_reason"] == "max_iters"
-        assert 0 < report["iterations"] <= 3 * 4
+        assert 0 < report["iterations"] <= 2 * 100
         assert report["rank"] == 4
         err = capsys.readouterr().err
         assert err == (f"wassmatrix: warning: MC did not converge: residual "
@@ -352,19 +372,26 @@ class TestRemovedOptions:
         return tmp_path
 
     MC = ("complete", "--algorithm", "mc", "--input", "{d}/ent.w2m",
-          "--rank-estimate", 2, "--max-outer-iters", 1, "--inner-steps", 1)
+          "--rank-estimate", 2, "--max-outer-iters", 1)
     NYSTROM = ("complete", "--algorithm", "nystrom", "--input", "{d}/full.w2m")
 
     @pytest.mark.parametrize("argv, named", [
         (MC + ("--damping", 0.5), "--damping"),
         (MC + ("--set", "damping=0.5"), "'damping'"),
+        (MC + ("--inner-steps", 1), "--inner-steps"),
+        (MC + ("--set", "inner_steps=1"), "'inner_steps'"),
         (NYSTROM + ("--pinv-tolerance", 1e-8), "--pinv-tolerance"),
         (NYSTROM + ("--reimpose-observed",), "--reimpose-observed"),
         (NYSTROM + ("--config", "{d}/cfg.json"), "'reimpose_observed'"),
-        (("dist", "--n", 100, "--rate", 0.1), "--n"),
-    ], ids=["damping-flag", "damping-set", "pinv-tolerance-flag",
-            "reimpose-observed-flag", "reimpose-observed-config",
-            "plan-only-dist"])
+        (("dist", "--data", "{d}/data", "--n", 100, "--rate", 0.1), "--n"),
+        (("dist", "--data", "{d}/data", "--synthetic", "translations:grid3",
+          "--full"), "--synthetic"),
+        (("classify", "--data", "{d}/data", "--synthetic", "classes3:rand24",
+          "--fractions", 1.0), "--synthetic"),
+    ], ids=["damping-flag", "damping-set", "inner-steps-flag", "inner-steps-set",
+            "pinv-tolerance-flag", "reimpose-observed-flag",
+            "reimpose-observed-config", "plan-only-dist", "synthetic-dist",
+            "synthetic-classify"])
     def test_exits_1_and_writes_nothing(self, inputs, capsys, argv, named):
         argv = [str(a).format(d=inputs) for a in argv]
         assert run(*argv, "--out", inputs / "x") == 1
@@ -467,9 +494,9 @@ class TestEmbedAndEval:
 
 
 class TestClassify:
-    def test_outputs_and_composition(self, tmp_path, capsys):
+    def test_outputs_and_composition(self, datasets, tmp_path, capsys):
         out_dir = tmp_path / "cls"
-        assert run("classify", "--synthetic", "classes3:rand24",
+        assert run("classify", "--data", datasets["classes3_rand24"],
                    "--fractions", "0.5,1.0", "--trials", 2,
                    "--classifiers", "knn1", "--seed", 13,
                    "--out", out_dir) == 0
@@ -481,15 +508,15 @@ class TestClassify:
 
         # the command reproduces a direct library run with the same seed
         from wassmatrix.seeding import derive_seed
-        data = synthetic_dataset("classes3:rand24", derive_seed(13, "synth"))
+        data = synthetic_dataset("classes3:rand24", derive_seed(0, "synth"))
         reports = stability_experiment(
             data, [0.5, 1.0], 2,
             StabilityConfig(classifiers=("knn1",), seed=13))
         assert summary["reports"] == [r.to_json() for r in reports]
 
-    def test_unknown_classifier(self, tmp_path, capsys):
+    def test_unknown_classifier(self, datasets, tmp_path, capsys):
         capsys.readouterr()
-        assert run("classify", "--synthetic", "classes3:rand24",
+        assert run("classify", "--data", datasets["classes3_rand24"],
                    "--fractions", "1.0", "--trials", 1,
                    "--classifiers", "knn1,svm", "--out", tmp_path / "cls") == 1
         err = capsys.readouterr().err
@@ -513,8 +540,8 @@ class TestClassify:
         assert len(err) == 1 and err[0].startswith("wassmatrix: error:")
         assert not (tmp_path / "cls").exists()
 
-    def test_needs_labels(self, tmp_path, capsys):
-        assert run("classify", "--synthetic", "translations:grid3",
+    def test_needs_labels(self, datasets, tmp_path, capsys):
+        assert run("classify", "--data", datasets["translations_grid3"],
                    "--fractions", "1.0", "--trials", 1,
                    "--out", tmp_path / "x") == 1
 
@@ -536,8 +563,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
     def test_error_class_exit_code(self, tmp_path, capsys, monkeypatch, cls):
-        from wassmatrix import cli
-
         def fail(_path):
             raise cls("injected")
 
@@ -555,7 +580,7 @@ class TestExitCodes:
 
 
 class TestConfigHandling:
-    CLASSIFY = ("classify", "--synthetic", "classes3:rand30", "--fractions", 1.0)
+    CLASSIFY = ("classify", "--data", "{classes3_rand30}", "--fractions", 1.0)
 
     def test_config_file_and_set_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -584,16 +609,24 @@ class TestConfigHandling:
         (("budget", "--n", 10, "--set", "rate=[0.5]"), None, "--rate"),
         (CLASSIFY + ("--set", "trials=abc"), None, "--trials"),
         (CLASSIFY, {"trials": 1.5}, "--trials"),
-        (("classify", "--synthetic", "classes3:rand30"),
+        (("classify", "--data", "{classes3_rand30}"),
          {"fractions": ["a", "b"]}, "--fractions"),
-        (("dist", "--synthetic", "translations:rand10", "--set", "full=abc"),
+        (("classify", "--data", "{classes3_rand30}"), {"fractions": []},
+         "--fractions"),
+        (("dist", "--data", "{translations_rand10}", "--set", "full=abc"),
          None, "full"),
-        (("dist", "--synthetic", "translations:rand10"), {"full": 1}, "full"),
+        (("dist", "--data", "{translations_rand10}"), {"full": 1}, "full"),
+        (("complete", "--input", "a.w2m", "--set", "algorithm=foo"), None,
+         "--algorithm"),
     ], ids=["budget-set", "budget-config", "budget-set-list", "classify-set",
-            "classify-config", "fractions-config", "full-set", "full-config"])
-    def test_value_of_wrong_type(self, tmp_path, capsys, argv, config, named):
-        """A --set or --config value gets the option's type: one error
-        line that names the option, exit 1, no traceback."""
+            "classify-config", "fractions-config", "fractions-empty",
+            "full-set", "full-config",
+            "algorithm-set"])
+    def test_value_of_wrong_type(self, datasets, tmp_path, capsys, argv,
+                                 config, named):
+        """A --set or --config value gets the option's type and choices:
+        one error line that names the option, exit 1, no traceback."""
+        argv = tuple(filled(argv, datasets))
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv += ("--config", tmp_path / "cfg.json")
@@ -608,14 +641,16 @@ class TestConfigHandling:
         (("budget", "--n", 10, "--rate", 0.5), "rank_estimate"),
         (("budget", "--n", 10, "--rate", 0.5), "algorithm"),
         (("budget", "--n", 10, "--rate", 0.5), "seed"),
-        (("dist", "--synthetic", "translations:rand10", "--full"), "energy"),
+        (("dist", "--data", "{translations_rand10}", "--full"), "energy"),
         (("embed", "--input", "absent.w2m"), "workers"),
         (("eval", "--estimate", "a.w2m", "--truth", "b.w2m"), "seed"),
         (("synth", "--spec", "translations:rand10"), "workers"),
         (("budget", "--n", 10, "--rate", 0.5), "config"),
     ])
-    def test_key_of_another_command(self, tmp_path, capsys, argv, key):
+    def test_key_of_another_command(self, datasets, tmp_path, capsys, argv,
+                                    key):
         """Each command takes exactly its own options as keys."""
+        argv = filled(argv, datasets)
         (tmp_path / "cfg.json").write_text(json.dumps({key: 1}))
         for how in (("--set", f"{key}=1"), ("--config", tmp_path / "cfg.json")):
             assert run(*argv, *how, "--out", tmp_path / "x") == 1
@@ -649,13 +684,12 @@ class TestConfigHandling:
                    "--trials", 1, "--out", tmp_path / "cls") == 0
         own = {
             "synth": {"synthetic", "out", "seed"},
-            "dist": {"data", "synthetic", "full", "rate", "columns", "out",
-                     "seed", "workers"},
+            "dist": {"data", "full", "rate", "columns", "out", "seed",
+                     "workers"},
             "complete": {"algorithm", "input", "out", "rank_estimate",
-                         "max_outer_iters", "inner_steps",
-                         "residual_tolerance", "seed"},
+                         "max_outer_iters", "residual_tolerance", "seed"},
             "embed": {"input", "dim", "energy", "labels_from", "out"},
-            "classify": {"data", "synthetic", "input", "fractions", "trials",
+            "classify": {"data", "input", "fractions", "trials",
                          "energy", "dim", "classifiers", "test_fraction",
                          "out", "seed", "workers"},
         }
@@ -670,13 +704,13 @@ class TestConfigHandling:
         assert dist["config"] == {"data": str(data), "columns": 6, "full": False,
                                   "out": str(tmp_path / "cols"), "seed": 0}
 
-    def test_config_lists_and_switches(self, tmp_path, capsys):
+    def test_config_lists_and_switches(self, datasets, tmp_path, capsys):
         """JSON lists in --config are the comma lists of the flags, and a
         switch takes true or false from --set and --config."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fractions": [0.5, 1.0],
                                    "classifiers": ["knn1"]}))
-        common = ("classify", "--synthetic", "classes3:rand24", "--trials", 2,
+        common = ("classify", "--data", datasets["classes3_rand24"], "--trials", 2,
                   "--seed", 13)
         assert run(*common, "--config", cfg, "--out", tmp_path / "a") == 0
         assert run(*common, "--fractions", "0.5,1.0", "--classifiers", "knn1",
@@ -685,13 +719,49 @@ class TestConfigHandling:
         assert summary == (tmp_path / "b" / "summary.json").read_text()
         assert len(json.loads(summary)["reports"]) == 2
 
-        dist = ("dist", "--synthetic", "translations:rand10", "--columns", 3)
+        dist = ("dist", "--data", datasets["translations_rand10"], "--columns", 3)
         assert run(*dist, "--set", "full=false", "--out", tmp_path / "c") == 0
         assert load(tmp_path / "c.w2m").kind is MatrixKind.PARTIAL
         cfg.write_text(json.dumps({"full": True, "columns": None}))
-        assert run("dist", "--synthetic", "translations:rand10",
+        assert run("dist", "--data", datasets["translations_rand10"],
                    "--config", cfg, "--out", tmp_path / "d") == 0
         assert load(tmp_path / "d.w2m").kind is MatrixKind.FULL
+
+    def test_config_meets_required_options(self, tmp_path, capsys):
+        """A file value is the flag it names, so it counts for the
+        option's required check, and a missing one is named."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2000, "rate": 0.1}))
+        assert run("budget", "--config", cfg) == 0
+        assert capsys.readouterr().out.strip() == "103"
+        cfg.write_text(json.dumps({"n": 2000, "rate": None}))
+        assert run("budget", "--config", cfg) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith("required: --rate")
+
+    @pytest.mark.parametrize("how, message", [
+        (("--set", "rate=0.1", "--full"), "not allowed with"),
+        (("--set", "full=true", "--columns", 3), "not allowed with"),
+        (("--set", "columns=3", "--set", "rate=0.1"), "not allowed with"),
+        (("--set", "full=false"), "one of the arguments"),
+    ])
+    def test_set_value_meets_mode_exclusivity(self, datasets, tmp_path,
+                                              capsys, how, message):
+        """``dist`` takes exactly one of --full, --rate and --columns,
+        however each is given."""
+        assert run("dist", "--data", datasets["translations_rand10"], *how,
+                   "--out", tmp_path / "x") == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+        assert captured.out == "" and not list(tmp_path.glob("x*"))
+
+    def test_flags_are_spelled_in_full(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 1000}))
+        assert run("budget", "--n", 10, "--rate", 0.5, "--conf", cfg) == 1
+        assert "unrecognized arguments: --conf" in capsys.readouterr().err
 
     def test_workers_env(self, tmp_path, capsys, monkeypatch):
         data_dir = tmp_path / "data"
@@ -708,15 +778,15 @@ class TestConfigHandling:
         ("-3", None, "--workers must be >= 1, got -3"),
         (None, "0", "WASSMATRIX_WORKERS must be >= 1, got 0"),
     ])
-    def test_workers_below_one_rejected(self, tmp_path, capsys, monkeypatch,
-                                        flag, env, message):
+    def test_workers_below_one_rejected(self, datasets, tmp_path, capsys,
+                                        monkeypatch, flag, env, message):
         monkeypatch.delenv("WASSMATRIX_WORKERS", raising=False)
         if env is not None:
             monkeypatch.setenv("WASSMATRIX_WORKERS", env)
         workers = [] if flag is None else ["--workers", flag]
-        assert run("dist", "--synthetic", "translations:rand10", "--full",
+        assert run("dist", "--data", datasets["translations_rand10"], "--full",
                    *workers, "--out", tmp_path / "d") == 1
-        assert run("classify", "--synthetic", "classes3:rand30",
+        assert run("classify", "--data", datasets["classes3_rand30"],
                    "--fractions", "1.0", "--trials", 1, *workers,
                    "--out", tmp_path / "cls") == 1
         captured = capsys.readouterr()
@@ -747,3 +817,29 @@ class TestConfigHandling:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "51"
+
+
+def documented_commands() -> list:
+    """The argv of every ``wassmatrix`` command in README's "Command
+    line" block and in the ``cli`` module docstring."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (block.replace("\\\n", " ") + cli.__doc__).splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.strip().startswith("wassmatrix ")]
+
+
+class TestDocumentedCommands:
+    """A doc that names a removed flag, or leaves out a required one,
+    fails to parse."""
+
+    COMMANDS = documented_commands()
+
+    def test_every_command_is_documented(self):
+        _, commands = cli.make_parser()
+        assert {argv[0] for argv in self.COMMANDS} == set(commands)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_parses(self, argv):
+        assert cli._parse_args(argv).command == argv[0]
