@@ -16,6 +16,12 @@ derives from the single ``--seed`` by stage-name hashing.  ``synth``,
 their options with enough to re-run them bit-identically; ``eval`` and
 ``budget`` write only their optional JSON result.  Output files append
 suffixes to the ``--out`` base.
+``dist --columns`` writes the sampled columns C = D(:, I) and I, not
+the N x N matrix; ``complete --algorithm nystrom`` writes its estimate
+C U^+ C^T as the same C and I; ``embed`` of that estimate embeds the
+raw product from the block in O(N c^2), as ``classify`` does; MC output
+stays dense.  Every ``.w2m`` reads back as its N x N matrix elsewhere
+(``eval``, ``classify --matrix``, MC input).
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
 options by name: ``rank_estimate=5`` is ``--rank-estimate=5``, so a
 value gets its flag's type, choices, required and exclusivity checks.
@@ -41,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio, sampling
+from .matrixio import Columns, DistanceMatrix, MatrixKind
 from .classify import (
     StabilityConfig,
     save_reports_csv,
@@ -57,7 +64,8 @@ from .measures import (
     save_dataset,
     synthetic_dataset,
 )
-from .nystrom import PINV_TOLERANCE, ColumnBlock, complete_nystrom
+from .nystrom import PINV_TOLERANCE, ColumnBlock
+from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
 from .seeding import derive_seed
@@ -68,6 +76,8 @@ EXIT_NUMERICAL = 2
 
 # parser entries that are not options of the command
 _NOT_OPTIONS = frozenset({"command", "func", "help", "config", "set"})
+# complete options that only --algorithm mc reads
+_MC_OPTIONS = ("rank_estimate", "max_outer_iters", "residual_tolerance")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,7 +179,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
         plan = sample_columns(n, args.columns, plan_seed)
     matrix = w2_matrix(data, plan, resolved_workers(args.workers))
     w2m = _out_path(args.out, ".w2m")
-    matrixio.save(matrix, w2m)
+    if args.columns is not None and matrix.kind is MatrixKind.PARTIAL:
+        matrixio.save(Columns(matrix.values[:, plan.indices], plan.indices,
+                              MatrixKind.PARTIAL), w2m)
+    else:
+        matrixio.save(matrix, w2m)
     observed = (n * (n - 1) // 2 if plan is None
                 else plan.observed_offdiagonal_entries())
     extra = {"size": n, "kind": matrix.kind.name, "observed_entries": observed}
@@ -186,17 +200,35 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _dense(stored: DistanceMatrix | Columns) -> DistanceMatrix:
+    return stored.matrix() if isinstance(stored, Columns) else stored
+
+
+def _nystrom_block(stored: DistanceMatrix | Columns) -> ColumnBlock:
+    """The block of every fully observed column of the input."""
+    if isinstance(stored, Columns) and stored.kind is MatrixKind.PARTIAL:
+        # at most N - 2 columns, so exactly its own are fully observed
+        return ColumnBlock(stored.block, stored.indices)
+    matrix = _dense(stored)
+    indices = np.flatnonzero(matrix.mask.all(axis=0))
+    _require(indices.size > 0, "nystrom needs at least one fully observed column")
+    return ColumnBlock.from_matrix(matrix, indices)
+
+
 def cmd_complete(args: argparse.Namespace) -> int:
+    given = [key for key in _MC_OPTIONS if getattr(args, key) is not None]
+    if args.algorithm != "mc" and given:
+        raise UsageError(f"--{given[0].replace('_', '-')} is an option of "
+                         f"--algorithm mc only")
     t0 = time.perf_counter()
-    matrix = matrixio.load(args.input)
+    stored = matrixio.load(args.input, expand=False)
     extra = {"algorithm": args.algorithm}
     if args.algorithm == "mc":
-        estimate, report = complete_mc(matrix, McConfig(
-            rank_estimate=args.rank_estimate,
-            max_outer_iters=args.max_outer_iters,
-            residual_tolerance=args.residual_tolerance,
-            seed=derive_seed(args.seed, "mc"),
-        ))
+        config = McConfig(**{key: getattr(args, key) for key in given},
+                          seed=derive_seed(args.seed, "mc"))
+        # the manifest echoes the settings used, defaults included
+        vars(args).update({key: getattr(config, key) for key in _MC_OPTIONS})
+        estimate, report = complete_mc(_dense(stored), config)
         report_obj = report.to_json()
         extra["converged"] = report.stop_reason != "max_iters"
         if not extra["converged"]:
@@ -205,11 +237,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
                   f"after {report.iterations} operator products "
                   f"({report.outer_iterations} LM steps)", file=sys.stderr)
     else:
-        indices = np.flatnonzero(matrix.mask.all(axis=0))
-        _require(indices.size > 0,
-                 "nystrom needs at least one fully observed column")
-        block = ColumnBlock.from_matrix(matrix, indices)
-        estimate = complete_nystrom(block)
+        block = _nystrom_block(stored)
+        estimate = Columns(block.columns, block.indices, MatrixKind.ESTIMATED)
         rank, sigma = block.effective_rank, block.core_singular_values
         report_obj = {
             "columns": int(block.indices.size),
@@ -230,23 +259,29 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    matrix = matrixio.load(args.input)
+    stored = matrixio.load(args.input, expand=False)
     labels = None
     if args.labels_from:
         labels = load_labels(args.labels_from)
         _require(labels is not None, f"{args.labels_from} has no labels.csv")
-        _require(len(labels) == matrix.size,
+        _require(len(labels) == stored.size,
                  "label count does not match matrix size")
-    spec = spectrum(matrix)
+    if isinstance(stored, Columns) and stored.kind is MatrixKind.ESTIMATED:
+        source, route = ColumnBlock(stored.block, stored.indices), "columns"
+    else:
+        source, route = _dense(stored), "dense"
+    spec = spectrum(source)
     dim = args.dim if args.dim is not None else choose_dimension(spec, args.energy)
-    dim = min(max(dim, 1), matrix.size - 1)
+    dim = min(max(dim, 1), stored.size - 1)
     emb = mds(spec, dim)
     out = _out_path(args.out, "")
     save_embedding(emb, out, labels)
     _write_manifest(_out_path(args.out, ".manifest.json"), args,
                     {"dimension": emb.dimension,
                      "spectrum_energy": emb.spectrum_energy,
-                     "negative_tail_mass": emb.negative_tail_mass},
+                     "negative_tail_mass": emb.negative_tail_mass,
+                     "spectrum": {"route": route,
+                                  "eigenpairs": int(spec.eigenvalues.size)}},
                     time.perf_counter() - t0)
     print(f"wrote {emb.dimension}-dimensional embedding to {out}")
     return EXIT_OK
@@ -333,14 +368,14 @@ def make_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--input", required=True, help="observed .w2m file")
     p.add_argument("--out", required=True)
     p.add_argument("--rank-estimate", dest="rank_estimate", type=int,
-                   default=McConfig.rank_estimate)
+                   help=f"mc only (default {McConfig.rank_estimate})")
     p.add_argument("--max-outer-iters", dest="max_outer_iters", type=int,
-                   default=McConfig.max_outer_iters,
-                   help="mc: times 100 (the cap on CG iterations of one LM "
-                        "step), the cap on operator products (CG "
-                        "iterations and trial points) of the run")
-    p.add_argument("--residual-tolerance", dest="residual_tolerance",
-                   type=float, default=McConfig.residual_tolerance)
+                   help="mc only: times 100 (the cap on CG iterations of one "
+                        "LM step), the cap on operator products (CG "
+                        "iterations and trial points) of the run (default "
+                        f"{McConfig.max_outer_iters})")
+    p.add_argument("--residual-tolerance", dest="residual_tolerance", type=float,
+                   help=f"mc only (default {McConfig.residual_tolerance:g})")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_complete)
 

@@ -328,11 +328,17 @@ def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
         raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
     if plan.is_entries:
         return plan.indices.copy()
+    # the pairs (i, j), i < j, with i or j in I, in row-major order: the
+    # c(c-1)/2 pairs inside I and the c(N-c) pairs of I with the rest
     cols = np.zeros(n, bool)
     cols[plan.indices] = True
-    iu, ju = np.triu_indices(n, k=1)
-    sel = cols[iu] | cols[ju]
-    return np.column_stack([iu[sel], ju[sel]])
+    idx, rest = np.flatnonzero(cols), np.flatnonzero(~cols)
+    a, b = np.triu_indices(idx.size, k=1)
+    inner = idx[a] * n + idx[b]
+    k, r = np.meshgrid(idx, rest)
+    outer = np.minimum(k, r) * n + np.maximum(k, r)
+    keys = np.sort(np.concatenate([inner, outer.ravel()]))
+    return np.column_stack(np.divmod(keys, n))
 
 
 def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,

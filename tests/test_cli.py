@@ -7,18 +7,25 @@ import numpy as np
 import pytest
 
 from wassmatrix import (
+    ColumnBlock,
     StabilityConfig,
+    choose_dimension,
+    complete_nystrom,
+    derive_seed,
     errors,
     load_dataset,
+    mds,
     relative_error,
+    sample_columns,
     stability_experiment,
     synthetic_dataset,
     w2_matrix,
 )
 from wassmatrix import cli
 from wassmatrix.cli import main
-from wassmatrix.matrixio import MatrixKind, load, save
-from wassmatrix.matrixio import DistanceMatrix
+from wassmatrix.embedding import load_embedding_coords
+from wassmatrix.matrixio import Columns, DistanceMatrix, MatrixKind, load, save
+from wassmatrix.sampling import load_plan
 
 
 def run(*argv):
@@ -401,6 +408,53 @@ class TestRemovedOptions:
         assert not list(inputs.glob("x*"))
 
 
+class TestMcOnlyOptions:
+    """The options only MC reads are usage errors with nystrom that
+    write nothing, whether given as a flag, by --set or in a config file."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path, capsys):
+        run("synth", "--spec", "translations:grid3", "--out", tmp_path / "data")
+        run("dist", "--data", tmp_path / "data", "--full", "--out", tmp_path / "full")
+        (tmp_path / "cfg.json").write_text(json.dumps({"max_outer_iters": 50}))
+        capsys.readouterr()
+        return tmp_path
+
+    NYSTROM = ("complete", "--algorithm", "nystrom", "--input", "{d}/full.w2m")
+
+    @pytest.mark.parametrize("extra, named", [
+        (("--rank-estimate", 7), "--rank-estimate"),
+        (("--max-outer-iters", 300), "--max-outer-iters"),
+        (("--residual-tolerance", 3), "--residual-tolerance"),
+        (("--set", "rank_estimate=7"), "--rank-estimate"),
+        (("--set", "residual_tolerance=3"), "--residual-tolerance"),
+        (("--config", "{d}/cfg.json"), "--max-outer-iters"),
+    ], ids=["rank-estimate-flag", "max-outer-iters-flag",
+            "residual-tolerance-flag", "rank-estimate-set",
+            "residual-tolerance-set", "max-outer-iters-config"])
+    def test_exits_1_and_writes_nothing(self, inputs, capsys, extra, named):
+        argv = [str(a).format(d=inputs) for a in self.NYSTROM + extra]
+        assert run(*argv, "--out", inputs / "x") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("wassmatrix: error:")
+        assert named in errors[0] and "mc" in errors[0]
+        assert not list(inputs.glob("x*"))
+
+    def test_mc_manifest_echoes_the_settings_used(self, inputs, capsys):
+        assert run("complete", "--algorithm", "mc", "--input", inputs / "full.w2m",
+                   "--set", "rank_estimate=3", "--out", inputs / "mc") == 0
+        config = json.loads((inputs / "mc.manifest.json").read_text())["config"]
+        assert (config["rank_estimate"], config["max_outer_iters"],
+                config["residual_tolerance"]) == (3, 300, 1e-6)
+        assert run(*[str(a).format(d=inputs) for a in self.NYSTROM],
+                   "--out", inputs / "ny") == 0
+        config = json.loads((inputs / "ny.manifest.json").read_text())["config"]
+        assert not {"rank_estimate", "max_outer_iters",
+                    "residual_tolerance"} & set(config)
+
+
 class TestEmbedAndEval:
     def test_embed_writes_csv_and_meta(self, pipeline_dirs, capsys):
         tmp_path, _ = pipeline_dirs
@@ -491,6 +545,133 @@ class TestEmbedAndEval:
         save(zero, tmp_path / "z.w2m")
         assert run("eval", "--estimate", tmp_path / "z.w2m",
                    "--truth", tmp_path / "z.w2m") == 2
+
+
+def nystrom_fixture(name):
+    """The column block of a criterion-03 trial (the EDM of 200 points in
+    R^3, 20 columns) or of criterion 07's classes3:rand300 at 20%."""
+    if name == "criterion07":
+        data = synthetic_dataset("classes3:rand300", 7)
+        plan = sample_columns(300, 60, seed=derive_seed(42, "columns"))
+        return ColumnBlock.from_matrix(w2_matrix(data, plan), plan.indices)
+    trial = int(name.rsplit("-", 1)[1])
+    rng = np.random.default_rng(3000 + trial)
+    pts = rng.standard_normal((200, 3))
+    diff = pts[:, None, :] - pts[None, :, :]
+    full = DistanceMatrix.full((diff * diff).sum(axis=-1))
+    plan = sample_columns(200, 20, seed=derive_seed(3, "cols", trial))
+    return ColumnBlock.from_matrix(full, plan.indices)
+
+
+class TestColumnFiles:
+    """Column files against the dense routes they replace."""
+
+    @pytest.fixture()
+    def run_dir(self, datasets, tmp_path, capsys):
+        data = datasets["classes3_rand30"]
+        assert run("dist", "--data", data, "--columns", 6, "--seed", 2,
+                   "--out", tmp_path / "cols") == 0
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols.w2m", "--out", tmp_path / "est") == 0
+        assert run("dist", "--data", data, "--full", "--out", tmp_path / "full") == 0
+        capsys.readouterr()
+        plan = load_plan(tmp_path / "cols.plan.json")
+        return tmp_path, w2_matrix(load_dataset(data), plan), plan
+
+    def test_loads_equal_the_dense_routes(self, run_dir):
+        tmp_path, partial, plan = run_dir
+        cols = load(tmp_path / "cols.w2m", expand=False)
+        assert isinstance(cols, Columns) and cols.kind is MatrixKind.PARTIAL
+        np.testing.assert_array_equal(cols.indices, plan.indices)
+        est = load(tmp_path / "est.w2m", expand=False)
+        assert isinstance(est, Columns) and est.kind is MatrixKind.ESTIMATED
+        assert est.block.tobytes() == cols.block.tobytes()
+        dense = complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices))
+        for path, expect in (("cols.w2m", partial), ("est.w2m", dense)):
+            got = load(tmp_path / path)
+            assert got.kind is expect.kind
+            assert got.values.tobytes() == expect.values.tobytes()
+            assert got.mask.tobytes() == expect.mask.tobytes()
+
+    def test_eval_prints_the_float_of_the_dense_file(self, run_dir, capsys):
+        tmp_path, partial, plan = run_dir
+        save(complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices)),
+             tmp_path / "dense.w2m")
+        printed = []
+        for name in ("est.w2m", "dense.w2m"):
+            assert run("eval", "--estimate", tmp_path / name,
+                       "--truth", tmp_path / "full.w2m") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_embed_manifest_names_the_route(self, run_dir):
+        tmp_path, _, _ = run_dir
+        for name, route, eigenpairs in (("est", "columns", 6),
+                                        ("full", "dense", 30)):
+            assert run("embed", "--input", tmp_path / f"{name}.w2m",
+                       "--out", tmp_path / f"{name}.csv") == 0
+            manifest = json.loads(
+                (tmp_path / f"{name}.csv.manifest.json").read_text())
+            assert manifest["spectrum"] == {"route": route, "eigenpairs": eigenpairs}
+
+    def test_dense_input_gives_every_observed_column(self, datasets, tmp_path,
+                                                     capsys):
+        # at c = N - 1 every entry is computed: dist writes a dense FULL
+        # matrix and nystrom takes all N columns, as from --full
+        data = datasets["translations_rand10"]
+        assert run("dist", "--data", data, "--columns", 9,
+                   "--out", tmp_path / "c9") == 0
+        assert load(tmp_path / "c9.w2m", expand=False).kind is MatrixKind.FULL
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "c9.w2m", "--out", tmp_path / "est") == 0
+        est = load(tmp_path / "est.w2m", expand=False)
+        np.testing.assert_array_equal(est.indices, np.arange(10))
+        full = load(tmp_path / "c9.w2m")
+        assert est.block.tobytes() == full.values.tobytes()
+
+    @pytest.mark.parametrize("name", ["criterion03-0", "criterion03-1",
+                                      "criterion03-2", "criterion07"])
+    def test_factored_embed_matches_dense_mds(self, tmp_path, capsys, name):
+        block = nystrom_fixture(name)
+        save(Columns(block.columns, block.indices, MatrixKind.ESTIMATED),
+             tmp_path / "est.w2m")
+        dense = complete_nystrom(block)
+        dim = choose_dimension(dense, StabilityConfig.energy)
+        assert run("embed", "--input", tmp_path / "est.w2m",
+                   "--out", tmp_path / "emb.csv") == 0
+        coords = load_embedding_coords(tmp_path / "emb.csv")
+        expect = mds(dense, dim).coords
+        assert coords.shape == expect.shape
+        assert np.abs(coords - expect).max() <= 1e-10
+
+    @pytest.mark.parametrize("command", ["eval", "embed", "complete"])
+    @pytest.mark.parametrize("defect", ["truncated", "bad-magic",
+                                        "index-out-of-range", "duplicate-index",
+                                        "asymmetric-core"])
+    def test_malformed_file_exits_1(self, run_dir, capsys, command, defect):
+        tmp_path, _, plan = run_dir
+        blob = bytearray((tmp_path / "cols.w2m").read_bytes())
+        # N = 30, c = 6: I at bytes 24..72, row r of C from 72 + 48 r
+        if defect == "truncated":
+            blob = blob[:-8]
+        elif defect == "bad-magic":
+            blob[:8] = b"W2DCOLXX"
+        elif defect == "index-out-of-range":
+            blob[64:72] = struct.pack("<q", 30)
+        elif defect == "duplicate-index":
+            blob[24:32] = struct.pack("<q", int(plan.indices[1]))
+        else:  # core entry (1, 0) no longer equals (0, 1)
+            row = 72 + 48 * int(plan.indices[1])
+            blob[row:row + 8] = struct.pack("<d", 1.5)
+        bad = tmp_path / "bad.w2m"
+        bad.write_bytes(bytes(blob))
+        argv = {"eval": ("eval", "--estimate", bad, "--truth", tmp_path / "full.w2m"),
+                "embed": ("embed", "--input", bad),
+                "complete": ("complete", "--algorithm", "nystrom", "--input", bad)}
+        assert run(*argv[command], "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"wassmatrix: error: {bad}")
+        assert not list(tmp_path.glob("x*"))
 
 
 class TestClassify:

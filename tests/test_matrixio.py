@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from wassmatrix.errors import (
     NumericalError,
     UsageError,
 )
-from wassmatrix.matrixio import load, sanitized_estimate, save
+from wassmatrix.matrixio import Columns, load, sanitized_estimate, save
 
 
 def random_full(rng, n):
@@ -166,6 +168,138 @@ class TestPersistence:
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load(p)
+
+
+def column_block(rng, n, c):
+    """Columns of a random FULL n x n matrix at c sorted indices."""
+    idx = np.sort(rng.choice(n, size=c, replace=False))
+    return random_full(rng, n).values[:, idx], idx
+
+
+class TestColumns:
+    @pytest.mark.parametrize("kind", [MatrixKind.PARTIAL, MatrixKind.ESTIMATED])
+    def test_bitwise_round_trip(self, tmp_path, kind):
+        rng = np.random.default_rng(11)
+        for trial in range(20):
+            n = int(rng.integers(3, 40))
+            block, idx = column_block(rng, n, int(rng.integers(1, n - 1)))
+            cols = Columns(block, idx, kind)
+            path = tmp_path / f"c{trial}.w2m"
+            save(cols, path)
+            back = load(path, expand=False)
+            assert back.kind is kind
+            assert back.block.tobytes() == block.tobytes()
+            assert back.indices.tobytes() == idx.astype(np.int64).tobytes()
+            save(back, tmp_path / "again.w2m")
+            assert (tmp_path / "again.w2m").read_bytes() == path.read_bytes()
+
+    def test_layout(self, tmp_path):
+        block = np.array([[0.0, 4.0], [1.0, 9.0], [4.0, 0.0], [7.0, 2.0]])
+        save(Columns(block, [0, 2], MatrixKind.PARTIAL), tmp_path / "c.w2m")
+        assert (tmp_path / "c.w2m").read_bytes() == (
+            b"W2DCOL01" + struct.pack("<QQ", 4, 2) + struct.pack("<2q", 0, 2)
+            + struct.pack("<8d", *block.ravel()) + bytes([1]))
+
+    def test_partial_expands_to_rows_and_columns(self, tmp_path):
+        rng = np.random.default_rng(12)
+        full = random_full(rng, 9)
+        idx = np.array([1, 4, 6])
+        mask = np.eye(9, dtype=bool)
+        mask[:, idx] = mask[idx, :] = True
+        dense = DistanceMatrix.partial(np.where(mask, full.values, 0.0), mask)
+        save(Columns(full.values[:, idx], idx, MatrixKind.PARTIAL),
+             tmp_path / "c.w2m")
+        save(dense, tmp_path / "d.w2m")
+        for path in ("c.w2m", "d.w2m"):
+            back = load(tmp_path / path)
+            assert back.kind is MatrixKind.PARTIAL
+            assert back.values.tobytes() == dense.values.tobytes()
+            assert back.mask.tobytes() == dense.mask.tobytes()
+
+    def test_dense_file_is_returned_as_is(self, tmp_path):
+        m = random_full(np.random.default_rng(13), 5)
+        save(m, tmp_path / "m.w2m")
+        back = load(tmp_path / "m.w2m", expand=False)
+        assert isinstance(back, DistanceMatrix)
+        assert back.values.tobytes() == m.values.tobytes()
+
+    @pytest.mark.parametrize("kind, indices, message", [
+        (MatrixKind.FULL, [0, 2], "PARTIAL or ESTIMATED"),
+        (MatrixKind.PARTIAL, [2, 0], "strictly increasing"),
+        (MatrixKind.PARTIAL, [0, 0], "strictly increasing"),
+        (MatrixKind.PARTIAL, [0, 4], "strictly increasing"),
+        (MatrixKind.PARTIAL, [-1, 2], "strictly increasing"),
+        (MatrixKind.PARTIAL, [0], "does not match"),
+    ])
+    def test_invariants(self, kind, indices, message):
+        block = random_full(np.random.default_rng(14), 4).values[:, [0, 2]]
+        with pytest.raises(InvariantViolation, match=message):
+            Columns(block, indices, kind)
+
+    def test_partial_has_at_most_n_minus_2_columns(self):
+        full = random_full(np.random.default_rng(14), 4).values
+        Columns(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.ESTIMATED)
+        with pytest.raises(InvariantViolation, match="observe every entry"):
+            Columns(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.PARTIAL)
+
+    def test_core_must_be_symmetric_with_zero_diagonal(self):
+        block = random_full(np.random.default_rng(15), 5).values[:, [1, 3]]
+        bad = block.copy()
+        bad[1, 1] = 0.5  # entry (3, 1) of the core, not (1, 3)
+        with pytest.raises(InvariantViolation, match="symmetric"):
+            Columns(bad, [1, 3], MatrixKind.ESTIMATED)
+        bad = block.copy()
+        bad[1, 0] = 0.5
+        with pytest.raises(InvariantViolation, match="diagonal"):
+            Columns(bad, [1, 3], MatrixKind.ESTIMATED)
+
+    def test_negative_entries_only_in_estimated_blocks(self):
+        block = random_full(np.random.default_rng(16), 5).values[:, [1, 3]]
+        block[0] = -block[0]
+        Columns(block, [1, 3], MatrixKind.ESTIMATED)
+        with pytest.raises(InvariantViolation, match=">= 0"):
+            Columns(block, [1, 3], MatrixKind.PARTIAL)
+
+
+def column_file(tmp_path, n=6, indices=(1, 4), kind=MatrixKind.PARTIAL):
+    """A valid column file of an n x n FULL matrix, as a bytearray."""
+    block = random_full(np.random.default_rng(17), n).values[:, list(indices)]
+    save(Columns(block, indices, kind), tmp_path / "c.w2m")
+    return bytearray((tmp_path / "c.w2m").read_bytes())
+
+
+class TestMalformedColumnFiles:
+    """Each defect of a column file is a FormatError at load."""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("truncated", "expected 137 bytes, got 128"),
+        ("truncated-header", "truncated header"),
+        ("bad-magic", "bad magic"),
+        ("index-out-of-range", "strictly increasing"),
+        ("duplicate-index", "strictly increasing"),
+        ("asymmetric-core", "symmetric"),
+        ("full-kind", "PARTIAL or ESTIMATED")])
+    @pytest.mark.parametrize("expand", [True, False])
+    def test_format_error(self, tmp_path, defect, message, expand):
+        blob = column_file(tmp_path)  # N = 6, c = 2: I at 24..40, C from 40
+        if defect == "truncated":
+            blob = blob[:-9]
+        elif defect == "truncated-header":
+            blob = blob[:20]
+        elif defect == "bad-magic":
+            blob[:8] = b"W2DCOL02"
+        elif defect == "index-out-of-range":
+            blob[32:40] = struct.pack("<q", 6)
+        elif defect == "duplicate-index":
+            blob[32:40] = struct.pack("<q", 1)
+        elif defect == "asymmetric-core":
+            # C(4, 0) is core entry (1, 0); C(1, 1) is core entry (0, 1)
+            blob[40 + 8 * (4 * 2):40 + 8 * (4 * 2 + 1)] = struct.pack("<d", 123.0)
+        else:
+            blob[-1] = MatrixKind.FULL.value
+        (tmp_path / "bad.w2m").write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=message):
+            load(tmp_path / "bad.w2m", expand=expand)
 
 
 class TestRelativeError:

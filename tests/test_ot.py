@@ -1,4 +1,5 @@
 import itertools
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -701,3 +702,31 @@ class TestW2Matrix:
         ])
         with pytest.raises(UsageError, match=r"measures live in R\^2 and R\^1"):
             w2_matrix(bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    def test_column_pairs_match_triangle_selection(self, n):
+        # the pairs of the strict upper triangle that touch a sampled
+        # column, selected from all N(N-1)/2 of them
+        iu, ju = np.triu_indices(n, k=1)
+        for c in sorted({1, 2, n // 2, n - 1, n} - {0}):
+            plan = sample_columns(n, c, seed=n + c)
+            cols = np.zeros(n, bool)
+            cols[plan.indices] = True
+            sel = cols[iu] | cols[ju]
+            expect = np.column_stack([iu[sel], ju[sel]])
+            got = ot._required_pairs(n, plan)
+            assert got.dtype == expect.dtype
+            np.testing.assert_array_equal(got, expect)
+
+    def test_column_pairs_do_not_list_the_triangle(self):
+        # N = 1e5 has 5e9 upper-triangle pairs; two columns touch 2e5
+        n, c = 100_000, 2
+        plan = sample_columns(n, c, seed=4)
+        t0 = time.perf_counter()
+        pairs = ot._required_pairs(n, plan)
+        elapsed = time.perf_counter() - t0
+        assert pairs.shape == (c * (n - 1) - c * (c - 1) // 2, 2)
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        assert (np.diff(pairs[:, 0] * n + pairs[:, 1]) > 0).all()  # distinct
+        assert np.isin(pairs, plan.indices).any(axis=1).all()
+        assert elapsed < 1.0
