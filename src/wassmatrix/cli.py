@@ -18,10 +18,11 @@ their options with enough to re-run them bit-identically; ``eval`` and
 suffixes to the ``--out`` base.
 ``dist --columns`` writes the sampled columns C = D(:, I) and I, not
 the N x N matrix; ``complete --algorithm nystrom`` writes its estimate
-C U^+ C^T as the same C and I; ``embed`` of that estimate embeds the
-raw product from the block in O(N c^2), as ``classify`` does; MC output
-stays dense.  Every ``.w2m`` reads back as its N x N matrix elsewhere
-(``eval``, ``classify --matrix``, MC input).
+C U^+ C^T as the same C and I (an estimate given as input comes back
+unchanged); ``embed`` of that estimate embeds the raw product from the
+block in O(N c^2), as ``classify`` does; MC output stays dense.  Every
+``.w2m`` reads back as its N x N matrix elsewhere (``eval``,
+``classify --matrix``, MC input).
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
 options by name: ``rank_estimate=5`` is ``--rank-estimate=5``, so a
 value gets its flag's type, choices, required and exclusivity checks.
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio, sampling
-from .matrixio import Columns, DistanceMatrix, MatrixKind
+from .matrixio import DistanceMatrix, MatrixKind
 from .classify import (
     StabilityConfig,
     save_reports_csv,
@@ -180,8 +181,8 @@ def cmd_dist(args: argparse.Namespace) -> int:
     matrix = w2_matrix(data, plan, resolved_workers(args.workers))
     w2m = _out_path(args.out, ".w2m")
     if args.columns is not None and matrix.kind is MatrixKind.PARTIAL:
-        matrixio.save(Columns(matrix.values[:, plan.indices], plan.indices,
-                              MatrixKind.PARTIAL), w2m)
+        matrixio.save(ColumnBlock(matrix.values[:, plan.indices], plan.indices,
+                                  MatrixKind.PARTIAL), w2m)
     else:
         matrixio.save(matrix, w2m)
     observed = (n * (n - 1) // 2 if plan is None
@@ -200,19 +201,16 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _dense(stored: DistanceMatrix | Columns) -> DistanceMatrix:
-    return stored.matrix() if isinstance(stored, Columns) else stored
-
-
-def _nystrom_block(stored: DistanceMatrix | Columns) -> ColumnBlock:
-    """The block of every fully observed column of the input."""
-    if isinstance(stored, Columns) and stored.kind is MatrixKind.PARTIAL:
-        # at most N - 2 columns, so exactly its own are fully observed
-        return ColumnBlock(stored.block, stored.indices)
-    matrix = _dense(stored)
-    indices = np.flatnonzero(matrix.mask.all(axis=0))
+def _nystrom_block(stored: DistanceMatrix | ColumnBlock) -> ColumnBlock:
+    """The estimate's block: a column file's own columns (a PARTIAL one
+    has at most N - 2, so exactly its own are fully observed, and an
+    ESTIMATED one gives back its own estimate), else the block of every
+    fully observed column."""
+    if isinstance(stored, ColumnBlock):
+        return ColumnBlock(stored.columns, stored.indices)
+    indices = np.flatnonzero(stored.mask.all(axis=0))
     _require(indices.size > 0, "nystrom needs at least one fully observed column")
-    return ColumnBlock.from_matrix(matrix, indices)
+    return ColumnBlock.from_matrix(stored, indices)
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
@@ -221,14 +219,14 @@ def cmd_complete(args: argparse.Namespace) -> int:
         raise UsageError(f"--{given[0].replace('_', '-')} is an option of "
                          f"--algorithm mc only")
     t0 = time.perf_counter()
-    stored = matrixio.load(args.input, expand=False)
+    stored = matrixio.load(args.input, expand=args.algorithm == "mc")
     extra = {"algorithm": args.algorithm}
     if args.algorithm == "mc":
         config = McConfig(**{key: getattr(args, key) for key in given},
                           seed=derive_seed(args.seed, "mc"))
         # the manifest echoes the settings used, defaults included
         vars(args).update({key: getattr(config, key) for key in _MC_OPTIONS})
-        estimate, report = complete_mc(_dense(stored), config)
+        estimate, report = complete_mc(stored, config)
         report_obj = report.to_json()
         extra["converged"] = report.stop_reason != "max_iters"
         if not extra["converged"]:
@@ -237,11 +235,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
                   f"after {report.iterations} operator products "
                   f"({report.outer_iterations} LM steps)", file=sys.stderr)
     else:
-        block = _nystrom_block(stored)
-        estimate = Columns(block.columns, block.indices, MatrixKind.ESTIMATED)
-        rank, sigma = block.effective_rank, block.core_singular_values
+        estimate = _nystrom_block(stored)
+        rank, sigma = estimate.effective_rank, estimate.core_singular_values
         report_obj = {
-            "columns": int(block.indices.size),
+            "columns": estimate.count,
             "pinv_tolerance": PINV_TOLERANCE,
             "core_effective_rank": rank,
             # sigma_1 / sigma_r over the singular values U^+ keeps
@@ -266,14 +263,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
         _require(labels is not None, f"{args.labels_from} has no labels.csv")
         _require(len(labels) == stored.size,
                  "label count does not match matrix size")
-    if isinstance(stored, Columns) and stored.kind is MatrixKind.ESTIMATED:
-        source, route = ColumnBlock(stored.block, stored.indices), "columns"
-    else:
-        source, route = _dense(stored), "dense"
-    spec = spectrum(source)
+    spec = spectrum(stored)
     dim = args.dim if args.dim is not None else choose_dimension(spec, args.energy)
     dim = min(max(dim, 1), stored.size - 1)
     emb = mds(spec, dim)
+    route = "columns" if isinstance(stored, ColumnBlock) else "dense"
     out = _out_path(args.out, "")
     save_embedding(emb, out, labels)
     _write_manifest(_out_path(args.out, ".manifest.json"), args,

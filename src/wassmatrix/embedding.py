@@ -110,19 +110,19 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     :class:`ColumnBlock` (D = C W C^T, W = U^+) takes the O(N c^2) route:
     with the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
     eigenproblem gives every nonzero eigenvalue and Q lifts its vectors.
-    A :class:`Spectrum` is returned as is.  A PARTIAL matrix raises
-    :class:`UsageError`: its unobserved entries are not distances.
+    A :class:`Spectrum` is returned as is.  A PARTIAL matrix or block
+    raises :class:`UsageError`: its unobserved entries are not distances.
     """
     if isinstance(source, Spectrum):
         return source
+    if source.kind is MatrixKind.PARTIAL:
+        raise UsageError("MDS needs a FULL or ESTIMATED matrix, got PARTIAL")
     if isinstance(source, ColumnBlock):
         columns = source.columns
         q, r = np.linalg.qr(columns - columns.mean(axis=0))
         small = -0.5 * (r @ source.core_pinv @ r.T)
         evals, y = np.linalg.eigh(0.5 * (small + small.T))
         return _descending(evals, q @ y, source.size)
-    if source.kind is MatrixKind.PARTIAL:
-        raise UsageError("MDS needs a FULL or ESTIMATED matrix, got PARTIAL")
     evals, evecs = np.linalg.eigh(double_center(source.values))
     return _descending(evals, evecs, source.size)
 

@@ -3,11 +3,11 @@
 A ``DistanceMatrix`` couples an N x N value array with an observation
 mask and a kind tag: FULL (every entry computed), PARTIAL (only masked
 entries are meaningful), or ESTIMATED (every entry filled in by a
-completion algorithm).  ``Columns`` holds a column-sampled matrix as its
-block C = D(:, I) and the indices I: a PARTIAL one is the computed
-columns of a column plan, an ESTIMATED one the Nystrom estimate
-C U^+ C^T with U = C(I, :).  Both layouts round-trip bitwise; all
-integers and floats are little-endian.
+completion algorithm).  A column-sampled matrix is a
+``nystrom.ColumnBlock``: its columns C = D(:, I) and the indices I, a
+PARTIAL one the computed columns of a column plan, an ESTIMATED one the
+Nystrom estimate C U^+ C^T with U = C(I, :).  Both layouts round-trip
+bitwise; all integers and floats are little-endian.
 
 Dense (a ``DistanceMatrix``)::
 
@@ -17,7 +17,7 @@ Dense (a ``DistanceMatrix``)::
     N*N      mask bytes (0/1)
     1 byte   kind (0=FULL, 1=PARTIAL, 2=ESTIMATED)
 
-Columns (a ``Columns``)::
+Columns (a ``nystrom.ColumnBlock``)::
 
     8 bytes  magic ``W2DCOL01``
     8 bytes  N as uint64
@@ -26,11 +26,12 @@ Columns (a ``Columns``)::
     8*N*c    block C, row-major float64
     1 byte   kind (1=PARTIAL, 2=ESTIMATED)
 
-``load`` returns a ``DistanceMatrix`` for either layout: a PARTIAL
-column file expands to the values and mask of the column plan, an
-ESTIMATED one to the sanitized product ``nystrom.complete_nystrom``
-gives.  ``load(path, expand=False)`` returns a column file as its
-``Columns``, without forming the N x N matrix.
+``load`` returns a ``DistanceMatrix`` for either layout: a column file
+expands to what its block's ``matrix()`` gives, the values and mask of
+the column plan (PARTIAL) or the sanitized product
+``nystrom.complete_nystrom`` gives (ESTIMATED).  ``load(path,
+expand=False)`` returns a column file as its ``ColumnBlock``, without
+forming the N x N matrix; a dense file comes back as it is.
 """
 
 from __future__ import annotations
@@ -135,94 +136,28 @@ def sanitized_estimate(values: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix.estimated(d)
 
 
-@dataclass(frozen=True)
-class Columns:
-    """Columns C = D(:, I) of an N x N squared-distance matrix, with I.
-
-    ``indices`` are strictly increasing and the core C(I, :) is exactly
-    symmetric with a zero diagonal.  A PARTIAL block stands for the
-    matrix that observes exactly its rows and columns, so it has at most
-    N - 2 columns (N - 1 observe every entry), and its entries are
-    finite and >= 0.  An ESTIMATED block stands for the Nystrom
-    estimate; :meth:`matrix` gives the ``DistanceMatrix`` of either.
-    """
-
-    block: np.ndarray
-    indices: np.ndarray
-    kind: MatrixKind
-
-    def __init__(self, block, indices, kind: MatrixKind):
-        block = np.array(block, dtype=np.float64)
-        indices = np.array(indices, dtype=np.int64)
-        kind = MatrixKind(kind)
-        if kind is MatrixKind.FULL:
-            raise InvariantViolation("columns stand for a PARTIAL or ESTIMATED matrix")
-        if block.ndim != 2 or indices.ndim != 1 or block.shape[1] != indices.size:
-            raise InvariantViolation(f"block shape {block.shape} does not match "
-                                     f"{indices.size} indices")
-        n = block.shape[0]
-        if (indices.size == 0 or indices[0] < 0 or indices[-1] >= n
-                or np.any(np.diff(indices) <= 0)):
-            raise InvariantViolation(
-                f"column indices must be strictly increasing in [0, {n})")
-        if kind is MatrixKind.PARTIAL and indices.size >= n - 1:
-            raise InvariantViolation(f"{indices.size} columns observe every entry "
-                                     f"of an {n} x {n} matrix")
-        if not np.all(np.isfinite(block)):
-            raise InvariantViolation("columns must be finite")
-        if kind is MatrixKind.PARTIAL and np.any(block < 0):
-            raise InvariantViolation("observed squared distances must be >= 0")
-        core = block[indices]
-        if not np.array_equal(core, core.T):
-            raise InvariantViolation("core C(I, :) must be exactly symmetric")
-        if np.any(np.diagonal(core) != 0.0):
-            raise InvariantViolation("core diagonal must be zero")
-        object.__setattr__(self, "block", freeze(block))
-        object.__setattr__(self, "indices", freeze(indices))
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def size(self) -> int:
-        return self.block.shape[0]
-
-    def matrix(self) -> DistanceMatrix:
-        """The matrix this block stands for: the observed rows and
-        columns of a PARTIAL block, zero elsewhere, or the sanitized
-        Nystrom estimate of an ESTIMATED one."""
-        if self.kind is MatrixKind.ESTIMATED:
-            from .nystrom import ColumnBlock, complete_nystrom  # imports this module
-            return complete_nystrom(ColumnBlock(self.block, self.indices))
-        n, idx = self.size, self.indices
-        values = np.zeros((n, n))
-        values[:, idx] = self.block
-        values[idx, :] = self.block.T
-        mask = np.eye(n, dtype=bool)
-        mask[:, idx] = True
-        mask[idx, :] = True
-        return DistanceMatrix(values, mask, MatrixKind.PARTIAL)
-
-
 # --- persistence --------------------------------------------------------------
 
-def save(matrix: DistanceMatrix | Columns, path) -> None:
-    """Write a ``DistanceMatrix`` densely and ``Columns`` as its block."""
-    if isinstance(matrix, Columns):
-        n, c = matrix.block.shape
-        parts = [COLUMNS_MAGIC, struct.pack("<QQ", n, c),
-                 matrix.indices.astype("<i8").tobytes(),
-                 np.ascontiguousarray(matrix.block, dtype="<f8").tobytes()]
+def save(obj, path) -> None:
+    """Write a ``DistanceMatrix`` densely and a ``nystrom.ColumnBlock`` as
+    its columns."""
+    if isinstance(obj, DistanceMatrix):
+        parts = [MAGIC, struct.pack("<Q", obj.size),
+                 np.ascontiguousarray(obj.values, dtype="<f8").tobytes(),
+                 obj.mask.astype(np.uint8).tobytes()]
     else:
-        parts = [MAGIC, struct.pack("<Q", matrix.size),
-                 np.ascontiguousarray(matrix.values, dtype="<f8").tobytes(),
-                 matrix.mask.astype(np.uint8).tobytes()]
-    Path(path).write_bytes(b"".join(parts + [bytes([matrix.kind.value])]))
+        n, c = obj.columns.shape
+        parts = [COLUMNS_MAGIC, struct.pack("<QQ", n, c),
+                 obj.indices.astype("<i8").tobytes(),
+                 np.ascontiguousarray(obj.columns, dtype="<f8").tobytes()]
+    Path(path).write_bytes(b"".join(parts + [bytes([obj.kind.value])]))
 
 
-def load(path, *, expand: bool = True) -> DistanceMatrix | Columns:
+def load(path, *, expand: bool = True):
     """Read a ``.w2m`` file of either layout as a ``DistanceMatrix``.
 
-    With ``expand=False`` a column file comes back as its ``Columns``,
-    without forming the N x N matrix.
+    With ``expand=False`` a column file comes back as its
+    ``nystrom.ColumnBlock``, without forming the N x N matrix.
     """
     data = Path(path).read_bytes()
     head = len(MAGIC) + 8
@@ -253,7 +188,8 @@ def load(path, *, expand: bool = True) -> DistanceMatrix | Columns:
             indices = np.frombuffer(data, dtype="<i8", count=c, offset=head)
             block = np.frombuffer(data, dtype="<f8", count=n * c,
                                   offset=head + 8 * c).reshape(n, c)
-            stored = Columns(block, indices, kind)
+            from .nystrom import ColumnBlock  # imports this module
+            stored = ColumnBlock(block, indices, kind)
             return stored.matrix() if expand else stored
         values = np.frombuffer(data, dtype="<f8", count=n * n, offset=head)
         mask = np.frombuffer(data, dtype=np.uint8, count=n * n,

@@ -9,10 +9,12 @@ diagonal, symmetrization, negative clamp) so it satisfies the
 distance-matrix invariants.  The product is the estimate: sampled
 rows/columns are not re-imposed on it.
 
-:class:`ColumnBlock` keeps the estimate as its factors C and U^+, the
-latter from the one SVD of the core taken when the block is built;
-``embedding.spectrum`` embeds it directly in O(N c^2) without forming
-the N x N product.
+:class:`ColumnBlock` is the one column type: C and I, checked once, with
+U^+ from the one SVD of the core taken when the block is built.  A
+PARTIAL block is the computed columns of a column plan, an ESTIMATED
+one the estimate C U^+ C^T; ``matrixio`` saves and loads either as the
+``W2DCOL01`` layout, and ``embedding.spectrum`` embeds an ESTIMATED
+block directly in O(N c^2) without forming the N x N product.
 
 Also here: the Procrustes alignment distance used to compare
 embeddings.
@@ -35,7 +37,14 @@ PINV_TOLERANCE = 1e-10  # core singular values below this * sigma_max are cut
 
 @dataclass(frozen=True)
 class ColumnBlock:
-    """Fully observed columns D(:, I), their core U = D(I, I) and U^+.
+    """Columns C = D(:, I) of an N x N squared-distance matrix, with I.
+
+    ``indices`` are strictly increasing, the entries finite and the core
+    U = C(I, :) exactly symmetric with a zero diagonal.  ``kind`` says
+    which matrix the block stands for (see :meth:`matrix`): PARTIAL, the
+    matrix that observes exactly its rows and columns, so at most N - 2
+    columns (N - 1 observe every entry) and entries >= 0; or ESTIMATED,
+    the Nystrom estimate C U^+ C^T.
 
     The one SVD of the core is taken when the block is built:
     ``core_pinv`` is the pseudoinverse U^+ truncated at
@@ -45,34 +54,44 @@ class ColumnBlock:
 
     columns: np.ndarray
     indices: np.ndarray
+    kind: MatrixKind
     core: np.ndarray
     core_pinv: np.ndarray
     core_singular_values: np.ndarray
     effective_rank: int
 
-    def __init__(self, columns, indices):
+    def __init__(self, columns, indices, kind: MatrixKind = MatrixKind.ESTIMATED):
         columns = np.array(columns, dtype=np.float64)
-        indices = np.array(indices, dtype=np.int64).ravel()
-        if columns.ndim != 2 or columns.shape[1] != indices.shape[0]:
-            raise InvariantViolation(
-                f"columns shape {columns.shape} does not match "
-                f"{indices.shape[0]} indices"
-            )
+        indices = np.array(indices, dtype=np.int64)
+        kind = MatrixKind(kind)
+        if kind is MatrixKind.FULL:
+            raise InvariantViolation("columns stand for a PARTIAL or ESTIMATED matrix")
+        if columns.ndim != 2 or indices.ndim != 1 or columns.shape[1] != indices.size:
+            raise InvariantViolation(f"columns shape {columns.shape} does not match "
+                                     f"{indices.size} indices")
         n = columns.shape[0]
-        if indices.size == 0 or np.any(indices < 0) or np.any(indices >= n):
-            raise InvariantViolation("column indices out of range")
-        if np.unique(indices).size != indices.size:
-            raise InvariantViolation("duplicate column indices")
-        core = columns[indices, :]
+        if (indices.size == 0 or indices[0] < 0 or indices[-1] >= n
+                or np.any(np.diff(indices) <= 0)):
+            raise InvariantViolation(
+                f"column indices must be strictly increasing in [0, {n})")
+        if kind is MatrixKind.PARTIAL and indices.size >= n - 1:
+            raise InvariantViolation(f"{indices.size} columns observe every entry "
+                                     f"of an {n} x {n} matrix")
+        if not np.all(np.isfinite(columns)):
+            raise InvariantViolation("columns must be finite")
+        if kind is MatrixKind.PARTIAL and np.any(columns < 0):
+            raise InvariantViolation("observed squared distances must be >= 0")
+        core = columns[indices]
         if not np.array_equal(core, core.T):
-            raise InvariantViolation("core must be symmetric")
+            raise InvariantViolation("core C(I, :) must be exactly symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
-        if not np.any(core) and np.any(columns):
+        if kind is MatrixKind.ESTIMATED and not np.any(core) and np.any(columns):
             raise NumericalError("core block is identically zero")
         pinv, sigma, rank = _truncated_svd_pinv(core, PINV_TOLERANCE)
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "core", freeze(core))
         object.__setattr__(self, "core_pinv", freeze(pinv))
         object.__setattr__(self, "core_singular_values", freeze(sigma))
@@ -103,6 +122,21 @@ class ColumnBlock:
     def product(self) -> np.ndarray:
         """Dense N x N product (C U^+) C^T, unsanitized."""
         return (self.columns @ self.core_pinv) @ self.columns.T
+
+    def matrix(self) -> DistanceMatrix:
+        """The matrix this block stands for: the observed rows and
+        columns of a PARTIAL block, zero elsewhere, or the sanitized
+        Nystrom estimate of an ESTIMATED one."""
+        if self.kind is MatrixKind.ESTIMATED:
+            return complete_nystrom(self)
+        n, idx = self.size, self.indices
+        values = np.zeros((n, n))
+        values[:, idx] = self.columns
+        values[idx, :] = self.columns.T
+        mask = np.eye(n, dtype=bool)
+        mask[:, idx] = True
+        mask[idx, :] = True
+        return DistanceMatrix(values, mask, MatrixKind.PARTIAL)
 
 
 def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):

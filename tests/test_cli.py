@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import struct
 from pathlib import Path
@@ -21,10 +22,11 @@ from wassmatrix import (
     synthetic_dataset,
     w2_matrix,
 )
-from wassmatrix import cli
+import wassmatrix
+from wassmatrix import cli, matrixio, mc, nystrom
 from wassmatrix.cli import main
 from wassmatrix.embedding import load_embedding_coords
-from wassmatrix.matrixio import Columns, DistanceMatrix, MatrixKind, load, save
+from wassmatrix.matrixio import DistanceMatrix, MatrixKind, load, save
 from wassmatrix.sampling import load_plan
 
 
@@ -547,6 +549,14 @@ class TestEmbedAndEval:
                    "--truth", tmp_path / "z.w2m") == 2
 
 
+def column_bytes(columns, indices, kind):
+    """A ``W2DCOL01`` file written byte by byte, unchecked."""
+    indices = np.asarray(indices, dtype="<i8")
+    return (b"W2DCOL01" + struct.pack("<QQ", columns.shape[0], indices.size)
+            + indices.tobytes() + np.ascontiguousarray(columns, "<f8").tobytes()
+            + bytes([kind.value]))
+
+
 def nystrom_fixture(name):
     """The column block of a criterion-03 trial (the EDM of 200 points in
     R^3, 20 columns) or of criterion 07's classes3:rand300 at 20%."""
@@ -581,11 +591,11 @@ class TestColumnFiles:
     def test_loads_equal_the_dense_routes(self, run_dir):
         tmp_path, partial, plan = run_dir
         cols = load(tmp_path / "cols.w2m", expand=False)
-        assert isinstance(cols, Columns) and cols.kind is MatrixKind.PARTIAL
+        assert isinstance(cols, ColumnBlock) and cols.kind is MatrixKind.PARTIAL
         np.testing.assert_array_equal(cols.indices, plan.indices)
         est = load(tmp_path / "est.w2m", expand=False)
-        assert isinstance(est, Columns) and est.kind is MatrixKind.ESTIMATED
-        assert est.block.tobytes() == cols.block.tobytes()
+        assert isinstance(est, ColumnBlock) and est.kind is MatrixKind.ESTIMATED
+        assert est.columns.tobytes() == cols.columns.tobytes()
         dense = complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices))
         for path, expect in (("cols.w2m", partial), ("est.w2m", dense)):
             got = load(tmp_path / path)
@@ -627,14 +637,23 @@ class TestColumnFiles:
         est = load(tmp_path / "est.w2m", expand=False)
         np.testing.assert_array_equal(est.indices, np.arange(10))
         full = load(tmp_path / "c9.w2m")
-        assert est.block.tobytes() == full.values.tobytes()
+        assert est.columns.tobytes() == full.values.tobytes()
+
+    def test_estimate_input_gives_back_its_own_columns(self, run_dir, capsys):
+        # the estimate's columns I reproduce C U^+ C^T, so the file is kept
+        tmp_path, _, _ = run_dir
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "est.w2m", "--out", tmp_path / "again") == 0
+        assert ((tmp_path / "again.w2m").read_bytes()
+                == (tmp_path / "est.w2m").read_bytes())
+        report = json.loads((tmp_path / "again.report.json").read_text())
+        assert report == json.loads((tmp_path / "est.report.json").read_text())
 
     @pytest.mark.parametrize("name", ["criterion03-0", "criterion03-1",
                                       "criterion03-2", "criterion07"])
     def test_factored_embed_matches_dense_mds(self, tmp_path, capsys, name):
         block = nystrom_fixture(name)
-        save(Columns(block.columns, block.indices, MatrixKind.ESTIMATED),
-             tmp_path / "est.w2m")
+        save(block, tmp_path / "est.w2m")
         dense = complete_nystrom(block)
         dim = choose_dimension(dense, StabilityConfig.energy)
         assert run("embed", "--input", tmp_path / "est.w2m",
@@ -647,11 +666,14 @@ class TestColumnFiles:
     @pytest.mark.parametrize("command", ["eval", "embed", "complete"])
     @pytest.mark.parametrize("defect", ["truncated", "bad-magic",
                                         "index-out-of-range", "duplicate-index",
-                                        "asymmetric-core"])
+                                        "asymmetric-core", "nan-entry",
+                                        "core-diagonal", "negative-partial-entry",
+                                        "partial-n-minus-1-columns"])
     def test_malformed_file_exits_1(self, run_dir, capsys, command, defect):
         tmp_path, _, plan = run_dir
         blob = bytearray((tmp_path / "cols.w2m").read_bytes())
         # N = 30, c = 6: I at bytes 24..72, row r of C from 72 + 48 r
+        outside = 72 + 48 * int(np.setdiff1d(np.arange(30), plan.indices)[0])
         if defect == "truncated":
             blob = blob[:-8]
         elif defect == "bad-magic":
@@ -660,9 +682,19 @@ class TestColumnFiles:
             blob[64:72] = struct.pack("<q", 30)
         elif defect == "duplicate-index":
             blob[24:32] = struct.pack("<q", int(plan.indices[1]))
-        else:  # core entry (1, 0) no longer equals (0, 1)
+        elif defect == "asymmetric-core":  # core (1, 0) no longer equals (0, 1)
             row = 72 + 48 * int(plan.indices[1])
             blob[row:row + 8] = struct.pack("<d", 1.5)
+        elif defect == "nan-entry":
+            blob[outside:outside + 8] = struct.pack("<d", float("nan"))
+        elif defect == "core-diagonal":  # core entry (0, 0)
+            row = 72 + 48 * int(plan.indices[0])
+            blob[row:row + 8] = struct.pack("<d", 1.5)
+        elif defect == "negative-partial-entry":
+            blob[outside:outside + 8] = struct.pack("<d", -1.0)
+        else:  # N - 1 columns of the full matrix, marked PARTIAL
+            full = load(tmp_path / "full.w2m").values
+            blob = column_bytes(full[:, :29], range(29), MatrixKind.PARTIAL)
         bad = tmp_path / "bad.w2m"
         bad.write_bytes(bytes(blob))
         argv = {"eval": ("eval", "--estimate", bad, "--truth", tmp_path / "full.w2m"),
@@ -671,6 +703,20 @@ class TestColumnFiles:
         assert run(*argv[command], "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"wassmatrix: error: {bad}")
+        assert not list(tmp_path.glob("x*"))
+
+    @pytest.mark.parametrize("command", ["eval", "embed", "complete"])
+    def test_zero_core_estimate_exits_2(self, run_dir, capsys, command):
+        # one column of a nonzero matrix: the 1 x 1 core is zero
+        tmp_path, _, _ = run_dir
+        full = load(tmp_path / "full.w2m").values
+        bad = tmp_path / "zero.w2m"
+        bad.write_bytes(column_bytes(full[:, [3]], [3], MatrixKind.ESTIMATED))
+        argv = {"eval": ("eval", "--estimate", bad, "--truth", tmp_path / "full.w2m"),
+                "embed": ("embed", "--input", bad),
+                "complete": ("complete", "--algorithm", "nystrom", "--input", bad)}
+        assert run(*argv[command], "--out", tmp_path / "x") == 2
+        assert "core block is identically zero" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
 
@@ -1000,12 +1046,19 @@ class TestConfigHandling:
         assert proc.stdout.strip() == "51"
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def readme_block(title: str, language: str) -> str:
+    """The first ``language`` code block of README's ``## title`` section."""
+    section = README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def documented_commands() -> list:
     """The argv of every ``wassmatrix`` command in README's "Command
     line" block and in the ``cli`` module docstring."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("Command line", "sh")
     lines = (block.replace("\\\n", " ") + cli.__doc__).splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines
             if line.strip().startswith("wassmatrix ")]
@@ -1024,3 +1077,19 @@ class TestDocumentedCommands:
     @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
     def test_parses(self, argv):
         assert cli._parse_args(argv).command == argv[0]
+
+
+class TestDocumentedLibrary:
+    """README's library example runs, and the names it cites exist."""
+
+    def test_library_block_runs(self, capsys):
+        exec(compile(readme_block("Library", "python"), "README.md", "exec"), {})
+        assert 0.0 <= float(capsys.readouterr().out) <= 1e-6
+
+    def test_cited_names_resolve(self):
+        modules = {"wm": wassmatrix, "matrixio": matrixio, "nystrom": nystrom,
+                   "mc": mc}
+        cited = set(re.findall(r"\b(wm|matrixio|nystrom|mc)\.(\w+)", README))
+        assert {("matrixio", "load"), ("nystrom", "PINV_TOLERANCE")} <= cited
+        assert sorted(f"{module}.{name}" for module, name in cited
+                      if not hasattr(modules[module], name)) == []

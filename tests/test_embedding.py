@@ -7,6 +7,7 @@ import scipy.linalg
 from wassmatrix import (
     ColumnBlock,
     DistanceMatrix,
+    MatrixKind,
     Spectrum,
     choose_dimension,
     complete_nystrom,
@@ -137,11 +138,13 @@ class TestMds:
         mask[:, :2] = mask[:2, :] = True
         np.fill_diagonal(mask, True)
         partial = DistanceMatrix.partial(np.where(mask, values, 0.0), mask)
-        for call in (spectrum, lambda m: mds(m, 2),
-                     lambda m: choose_dimension(m, 0.9)):
-            with pytest.raises(UsageError, match=r"MDS needs a FULL or "
-                                                 r"ESTIMATED matrix, got PARTIAL"):
-                call(partial)
+        block = ColumnBlock(values[:, :2], [0, 1], MatrixKind.PARTIAL)
+        for source in (partial, block):
+            for call in (spectrum, lambda m: mds(m, 2),
+                         lambda m: choose_dimension(m, 0.9)):
+                with pytest.raises(UsageError, match=r"MDS needs a FULL or "
+                                                     r"ESTIMATED matrix, got PARTIAL"):
+                    call(source)
 
 
 class TestChooseDimension:

@@ -3,14 +3,14 @@ import struct
 import numpy as np
 import pytest
 
-from wassmatrix import DistanceMatrix, MatrixKind, relative_error
+from wassmatrix import ColumnBlock, DistanceMatrix, MatrixKind, relative_error
 from wassmatrix.errors import (
     FormatError,
     InvariantViolation,
     NumericalError,
     UsageError,
 )
-from wassmatrix.matrixio import Columns, load, sanitized_estimate, save
+from wassmatrix.matrixio import load, sanitized_estimate, save
 
 
 def random_full(rng, n):
@@ -180,22 +180,37 @@ class TestColumns:
     @pytest.mark.parametrize("kind", [MatrixKind.PARTIAL, MatrixKind.ESTIMATED])
     def test_bitwise_round_trip(self, tmp_path, kind):
         rng = np.random.default_rng(11)
+        zero_cores = 0
         for trial in range(20):
             n = int(rng.integers(3, 40))
             block, idx = column_block(rng, n, int(rng.integers(1, n - 1)))
-            cols = Columns(block, idx, kind)
             path = tmp_path / f"c{trial}.w2m"
+            if kind is MatrixKind.ESTIMATED and idx.size == 1:
+                # one column has the zero 1 x 1 core: no estimate to stand for
+                zero_cores += 1
+                with pytest.raises(NumericalError, match="identically zero"):
+                    ColumnBlock(block, idx, kind)
+                save(ColumnBlock(block, idx, MatrixKind.PARTIAL), path)
+                blob = bytearray(path.read_bytes())
+                blob[-1] = kind.value
+                path.write_bytes(bytes(blob))
+                for expand in (True, False):
+                    with pytest.raises(NumericalError, match="identically zero"):
+                        load(path, expand=expand)
+                continue
+            cols = ColumnBlock(block, idx, kind)
             save(cols, path)
             back = load(path, expand=False)
             assert back.kind is kind
-            assert back.block.tobytes() == block.tobytes()
+            assert back.columns.tobytes() == block.tobytes()
             assert back.indices.tobytes() == idx.astype(np.int64).tobytes()
             save(back, tmp_path / "again.w2m")
             assert (tmp_path / "again.w2m").read_bytes() == path.read_bytes()
+        assert zero_cores == (4 if kind is MatrixKind.ESTIMATED else 0)
 
     def test_layout(self, tmp_path):
         block = np.array([[0.0, 4.0], [1.0, 9.0], [4.0, 0.0], [7.0, 2.0]])
-        save(Columns(block, [0, 2], MatrixKind.PARTIAL), tmp_path / "c.w2m")
+        save(ColumnBlock(block, [0, 2], MatrixKind.PARTIAL), tmp_path / "c.w2m")
         assert (tmp_path / "c.w2m").read_bytes() == (
             b"W2DCOL01" + struct.pack("<QQ", 4, 2) + struct.pack("<2q", 0, 2)
             + struct.pack("<8d", *block.ravel()) + bytes([1]))
@@ -207,7 +222,7 @@ class TestColumns:
         mask = np.eye(9, dtype=bool)
         mask[:, idx] = mask[idx, :] = True
         dense = DistanceMatrix.partial(np.where(mask, full.values, 0.0), mask)
-        save(Columns(full.values[:, idx], idx, MatrixKind.PARTIAL),
+        save(ColumnBlock(full.values[:, idx], idx, MatrixKind.PARTIAL),
              tmp_path / "c.w2m")
         save(dense, tmp_path / "d.w2m")
         for path in ("c.w2m", "d.w2m"):
@@ -234,37 +249,37 @@ class TestColumns:
     def test_invariants(self, kind, indices, message):
         block = random_full(np.random.default_rng(14), 4).values[:, [0, 2]]
         with pytest.raises(InvariantViolation, match=message):
-            Columns(block, indices, kind)
+            ColumnBlock(block, indices, kind)
 
     def test_partial_has_at_most_n_minus_2_columns(self):
         full = random_full(np.random.default_rng(14), 4).values
-        Columns(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.ESTIMATED)
+        ColumnBlock(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.ESTIMATED)
         with pytest.raises(InvariantViolation, match="observe every entry"):
-            Columns(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.PARTIAL)
+            ColumnBlock(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.PARTIAL)
 
     def test_core_must_be_symmetric_with_zero_diagonal(self):
         block = random_full(np.random.default_rng(15), 5).values[:, [1, 3]]
         bad = block.copy()
         bad[1, 1] = 0.5  # entry (3, 1) of the core, not (1, 3)
         with pytest.raises(InvariantViolation, match="symmetric"):
-            Columns(bad, [1, 3], MatrixKind.ESTIMATED)
+            ColumnBlock(bad, [1, 3], MatrixKind.ESTIMATED)
         bad = block.copy()
         bad[1, 0] = 0.5
         with pytest.raises(InvariantViolation, match="diagonal"):
-            Columns(bad, [1, 3], MatrixKind.ESTIMATED)
+            ColumnBlock(bad, [1, 3], MatrixKind.ESTIMATED)
 
     def test_negative_entries_only_in_estimated_blocks(self):
         block = random_full(np.random.default_rng(16), 5).values[:, [1, 3]]
         block[0] = -block[0]
-        Columns(block, [1, 3], MatrixKind.ESTIMATED)
+        ColumnBlock(block, [1, 3], MatrixKind.ESTIMATED)
         with pytest.raises(InvariantViolation, match=">= 0"):
-            Columns(block, [1, 3], MatrixKind.PARTIAL)
+            ColumnBlock(block, [1, 3], MatrixKind.PARTIAL)
 
 
 def column_file(tmp_path, n=6, indices=(1, 4), kind=MatrixKind.PARTIAL):
     """A valid column file of an n x n FULL matrix, as a bytearray."""
     block = random_full(np.random.default_rng(17), n).values[:, list(indices)]
-    save(Columns(block, indices, kind), tmp_path / "c.w2m")
+    save(ColumnBlock(block, indices, kind), tmp_path / "c.w2m")
     return bytearray((tmp_path / "c.w2m").read_bytes())
 
 
@@ -278,7 +293,11 @@ class TestMalformedColumnFiles:
         ("index-out-of-range", "strictly increasing"),
         ("duplicate-index", "strictly increasing"),
         ("asymmetric-core", "symmetric"),
-        ("full-kind", "PARTIAL or ESTIMATED")])
+        ("full-kind", "PARTIAL or ESTIMATED"),
+        ("nan-entry", "finite"),
+        ("core-diagonal", "diagonal"),
+        ("negative-partial-entry", ">= 0"),
+        ("partial-n-minus-1-columns", "observe every entry")])
     @pytest.mark.parametrize("expand", [True, False])
     def test_format_error(self, tmp_path, defect, message, expand):
         blob = column_file(tmp_path)  # N = 6, c = 2: I at 24..40, C from 40
@@ -295,8 +314,17 @@ class TestMalformedColumnFiles:
         elif defect == "asymmetric-core":
             # C(4, 0) is core entry (1, 0); C(1, 1) is core entry (0, 1)
             blob[40 + 8 * (4 * 2):40 + 8 * (4 * 2 + 1)] = struct.pack("<d", 123.0)
-        else:
+        elif defect == "full-kind":
             blob[-1] = MatrixKind.FULL.value
+        elif defect == "nan-entry":  # C(0, 0); row 0 is outside the core
+            blob[40:48] = struct.pack("<d", float("nan"))
+        elif defect == "core-diagonal":  # C(1, 0) is core entry (0, 0)
+            blob[56:64] = struct.pack("<d", 123.0)
+        elif defect == "negative-partial-entry":
+            blob[40:48] = struct.pack("<d", -1.0)
+        else:  # N - 1 columns observe every entry: not a PARTIAL file
+            blob = column_file(tmp_path, indices=range(5), kind=MatrixKind.ESTIMATED)
+            blob[-1] = MatrixKind.PARTIAL.value
         (tmp_path / "bad.w2m").write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             load(tmp_path / "bad.w2m", expand=expand)

@@ -109,13 +109,13 @@ class TestSampleEntries:
         # draws stays within 3 standard errors of m/45
         n, rate, draws = 10, 0.2, 100_000
         m = round(rate * 45)
-        counts = np.zeros(45)
-        iu, ju = np.triu_indices(n, k=1)
-        pair_pos = {(i, j): k for k, (i, j) in enumerate(zip(iu, ju))}
-        for seed in range(draws):
-            plan = sample_entries(n, rate, seed=seed)
-            for i, j in plan.indices:
-                counts[pair_pos[(i, j)]] += 1
+        pair_pos = np.full((n, n), -1)
+        pair_pos[np.triu_indices(n, k=1)] = np.arange(45)
+        pairs = np.concatenate([sample_entries(n, rate, seed=seed).indices
+                                for seed in range(draws)])
+        positions = pair_pos[pairs[:, 0], pairs[:, 1]]
+        assert positions.min() >= 0  # every pair is in the strict upper triangle
+        counts = np.bincount(positions, minlength=45)
         p = m / 45
         se = math.sqrt(p * (1 - p) / draws)
         freq = counts / draws
