@@ -8,14 +8,16 @@ from the retained spectral energy, (c) draw a train/test split, and
 trial's randomness derives from the experiment seed, so reports
 reproduce bit-identically.
 
-The full squared-distance matrix is computed once per experiment and
-sampled column blocks are extracted from it; since every entry is a
+The full squared-distance matrix is computed once per experiment (or
+given, and then only the labels are needed) and sampled column blocks
+are extracted from it; since every entry is a
 deterministic function of two measures this is numerically identical to
 recomputing each sampled column from scratch.
 
-Trials embed the Nystrom column block directly, in O(N c^2) per trial:
-a thin QR of the centred columns and one c x c eigenproblem give the
-spectrum of B, and no N x N matrix is built.  The factored route embeds
+Trials embed the Nystrom column block directly, in O(N c r) per trial
+for a core of effective rank r: a thin QR of the centred N x r block
+C P_r and one r x r eigenproblem give the spectrum of B, and no N x N
+matrix is built.  The factored route embeds
 the raw product C U^+ C^T, the paper's estimator, not the sanitised
 matrix that ``complete_nystrom`` returns; the two agree to round-off
 whenever rank(U) = rank(D).
@@ -196,7 +198,7 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     return out
 
 
-def stability_experiment(data: MeasureDataset, fractions, trials: int,
+def stability_experiment(data: MeasureDataset | tuple, fractions, trials: int,
                          cfg: StabilityConfig,
                          full_matrix: DistanceMatrix | None = None) -> list:
     """Accuracy reports for every (fraction, classifier) combination.
@@ -206,11 +208,16 @@ def stability_experiment(data: MeasureDataset, fractions, trials: int,
     record each trial seed so any single trial can be replayed.
     ``full_matrix``, when given, must be the exact FULL matrix of
     ``data``; a PARTIAL or ESTIMATED one raises InvariantViolation.
+    The measures serve only to compute that matrix, so with
+    ``full_matrix`` given ``data`` may be just the labels.
     """
-    if data.labels is None:
+    labels = data.labels if isinstance(data, MeasureDataset) else data
+    if labels is None:
         raise InvariantViolation("stability experiment needs a labeled dataset")
-    labels = np.asarray(data.labels)
-    n = len(data)
+    if full_matrix is None and not isinstance(data, MeasureDataset):
+        raise UsageError("labels alone need the full matrix")
+    labels = np.asarray(labels)
+    n = labels.size
     if trials < 1:
         raise ValueError("trials must be >= 1")
     fractions = [float(f) for f in fractions]

@@ -20,14 +20,16 @@ suffixes to the ``--out`` base.
 the N x N matrix; ``complete --algorithm nystrom`` writes its estimate
 C U^+ C^T as the same C and I (an estimate given as input comes back
 unchanged); ``embed`` of that estimate embeds the raw product from the
-block in O(N c^2), as ``classify`` does; MC output stays dense.  Every
-``.w2m`` reads back as its N x N matrix elsewhere (``eval``,
-``classify --matrix``, MC input).
+block in O(N c r), r the core's effective rank, as ``classify`` does;
+MC output stays dense.  Every ``.w2m`` reads back as its N x N matrix
+elsewhere (``eval``, ``classify --matrix``, MC input); ``classify
+--matrix`` reads only the labels of ``--data``, not its measures.
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
 options by name: ``rank_estimate=5`` is ``--rank-estimate=5``, so a
 value gets its flag's type, choices, required and exclusivity checks.
 Flags win over ``--set``, which wins over the file.  Exit codes: 0
-success (MC stopped at its iteration cap warns on stderr), 1
+success (MC stopped at its iteration cap, or with points that have
+fewer than rank + 1 observed distances, warns on stderr), 1
 usage/configuration error, including a key the command does not take,
 2 numerical failure or a crashed worker pool.  ``WASSMATRIX_WORKERS``
 sets the default worker count for distance-matrix assembly; small
@@ -234,6 +236,11 @@ def cmd_complete(args: argparse.Namespace) -> int:
                   f"{report.final_residual:.3g} > {args.residual_tolerance:g} "
                   f"after {report.iterations} operator products "
                   f"({report.outer_iterations} LM steps)", file=sys.stderr)
+        if report.underdetermined_points:
+            print(f"wassmatrix: warning: MC estimate has "
+                  f"{report.underdetermined_points} underdetermined point(s) with "
+                  f"fewer than {report.rank + 1} observed distances at rank "
+                  f"{report.rank}", file=sys.stderr)
     else:
         estimate = _nystrom_block(stored)
         rank, sigma = estimate.effective_rank, estimate.core_singular_values
@@ -295,8 +302,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     _require(bool(args.fractions), "--fractions is empty")
     t0 = time.perf_counter()
-    data = load_dataset(args.data)
-    _require(data.labels is not None, "classification needs a labeled dataset")
+    if args.input:  # the matrix is given: only the labels are read
+        data = labels = load_labels(args.data)
+    else:
+        data = load_dataset(args.data)
+        labels = data.labels
+    _require(labels is not None, "classification needs a labeled dataset")
     stab_cfg = StabilityConfig(
         energy=args.energy,
         test_fraction=args.test_fraction,
@@ -305,9 +316,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=resolved_workers(args.workers),
     )
-    full = None
-    if args.input:
-        full = matrixio.load(args.input)
+    full = matrixio.load(args.input) if args.input else None
     reports = stability_experiment(data, args.fractions, args.trials, stab_cfg,
                                    full_matrix=full)
     out = Path(args.out)
@@ -316,7 +325,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     save_series_csv(reports, out / "series.csv")
     save_summary_json(reports, out / "summary.json")
     _write_manifest(out / "classify.manifest.json", args,
-                    {"size": len(data), "trials": args.trials},
+                    {"size": len(labels), "trials": args.trials},
                     time.perf_counter() - t0)
     for rep in reports:
         print(f"fraction {rep.fraction:g} ({rep.columns} cols) "

@@ -9,7 +9,7 @@ rather than producing imaginary axes.  A fixed sign convention (first
 nonzero eigenvector entry positive) makes output deterministic.
 
 Each input is decomposed once: :func:`spectrum` produces the eigenpairs
-(densely, or from a Nystrom column block in O(N c^2)), and both
+(densely, or from a Nystrom column block in O(N c r)), and both
 :func:`choose_dimension` and :func:`mds` read them.
 """
 
@@ -107,10 +107,11 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     """The spectrum of B = -1/2 H D H, decomposed once.
 
     A :class:`DistanceMatrix` takes one dense ``eigh`` of B.  A
-    :class:`ColumnBlock` (D = C W C^T, W = U^+) takes the O(N c^2) route:
-    with the thin QR H C = Q R, B = Q (-1/2 R W R^T) Q^T, so the c x c
-    eigenproblem gives every nonzero eigenvalue and Q lifts its vectors.
-    A :class:`Spectrum` is returned as is.  A PARTIAL matrix or block
+    :class:`ColumnBlock` (D = F L^-1 F^T with F = C P_r and L the r
+    eigenvalues its core keeps) takes the O(N c r) route: with the thin
+    QR H F = Q R, B = Q (-1/2 R L^-1 R^T) Q^T, so the r x r eigenproblem
+    gives every nonzero eigenvalue and Q lifts its vectors.  A
+    :class:`Spectrum` is returned as is.  A PARTIAL matrix or block
     raises :class:`UsageError`: its unobserved entries are not distances.
     """
     if isinstance(source, Spectrum):
@@ -118,9 +119,9 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     if source.kind is MatrixKind.PARTIAL:
         raise UsageError("MDS needs a FULL or ESTIMATED matrix, got PARTIAL")
     if isinstance(source, ColumnBlock):
-        columns = source.columns
-        q, r = np.linalg.qr(columns - columns.mean(axis=0))
-        small = -0.5 * (r @ source.core_pinv @ r.T)
+        factor = source.columns @ source.core_vectors
+        q, r = np.linalg.qr(factor - factor.mean(axis=0))
+        small = -0.5 * ((r * source.core_inverse_eigenvalues) @ r.T)
         evals, y = np.linalg.eigh(0.5 * (small + small.T))
         return _descending(evals, q @ y, source.size)
     evals, evecs = np.linalg.eigh(double_center(source.values))

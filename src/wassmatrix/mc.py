@@ -100,6 +100,7 @@ class ConvergenceReport:
     final_residual: float
     stop_reason: str
     rank: int
+    underdetermined_points: int = 0
     residual_trace: list = field(default_factory=list)
 
     def to_json(self, max_trace: int = 200) -> dict:
@@ -113,6 +114,7 @@ class ConvergenceReport:
             "final_residual": self.final_residual,
             "stop_reason": self.stop_reason,
             "rank": self.rank,
+            "underdetermined_points": self.underdetermined_points,
             "residual_trace": [float(v) for v in trace],
         }
 
@@ -309,7 +311,11 @@ def complete_mc(d_obs: DistanceMatrix,
     the returned factor, ``iterations`` the operator products of the
     run and ``outer_iterations`` its LM steps; ``stop_reason`` is
     ``"converged"`` when the tolerance was reached and ``"max_iters"``
-    otherwise.  Raises :class:`Diverged` when a residual is non-finite.
+    otherwise.  ``underdetermined_points`` counts the points with fewer
+    than ``rank`` + 1 observed off-diagonal entries: a point in R^rank
+    needs rank + 1 generic distances to be pinned down, so the sample
+    does not determine those, whatever ``stop_reason`` says.  Raises
+    :class:`Diverged` when a residual is non-finite.
     """
     n = d_obs.size
     q = cfg.rank_estimate
@@ -347,6 +353,8 @@ def complete_mc(d_obs: DistanceMatrix,
         final_residual=fit.residual,
         stop_reason="converged" if fit.residual <= tol else "max_iters",
         rank=rank,
+        underdetermined_points=int(np.count_nonzero(
+            np.bincount(np.concatenate([ii, jj]), minlength=n) < rank + 1)),
         residual_trace=solver.trace,
     )
     return sanitized_estimate(sq[:, None] + sq[None, :] - 2.0 * (Q @ Q.T)), report

@@ -3,18 +3,21 @@
 Given the block of fully computed columns C = D(:, I) and its core
 U = D(I, I), the completed matrix is the symmetric product C U^+ C^T
 with U^+ the pseudoinverse truncated at ``PINV_TOLERANCE`` times the
-core's largest singular value.  When rank(U) equals rank(D) the product
-reproduces D exactly; the estimate is sanitized afterwards (zero
-diagonal, symmetrization, negative clamp) so it satisfies the
-distance-matrix invariants.  The product is the estimate: sampled
+core's largest singular value.  U is symmetric, so one ``eigh`` gives
+U^+ = P_r L_r^-1 P_r^T from its r kept eigenpairs (|lambda| above the
+cut), and the estimate is (C P_r L_r^-1)(C P_r)^T.  When rank(U)
+equals rank(D) the product reproduces D exactly; the estimate is
+sanitized afterwards (zero diagonal, symmetrization, negative clamp) so
+it satisfies the distance-matrix invariants.  The product is the estimate: sampled
 rows/columns are not re-imposed on it.
 
 :class:`ColumnBlock` is the one column type: C and I, checked once, with
-U^+ from the one SVD of the core taken when the block is built.  A
-PARTIAL block is the computed columns of a column plan, an ESTIMATED
-one the estimate C U^+ C^T; ``matrixio`` saves and loads either as the
-``W2DCOL01`` layout, and ``embedding.spectrum`` embeds an ESTIMATED
-block directly in O(N c^2) without forming the N x N product.
+P_r and 1 / lambda_r from the one ``eigh`` of the core taken when the
+block is built.  A PARTIAL block is the computed columns of a column
+plan, an ESTIMATED one the estimate C U^+ C^T; ``matrixio`` saves and
+loads either as the ``W2DCOL01`` layout, and ``embedding.spectrum``
+embeds an ESTIMATED block directly in O(N c r) without forming the
+N x N product.
 
 Also here: the Procrustes alignment distance used to compare
 embeddings.
@@ -32,7 +35,7 @@ from .errors import InvariantViolation, NumericalError, UsageError
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
 from .matrixio import freeze, sanitized_estimate
 
-PINV_TOLERANCE = 1e-10  # core singular values below this * sigma_max are cut
+PINV_TOLERANCE = 1e-10  # core |eigenvalues| up to this * the largest are cut
 
 
 @dataclass(frozen=True)
@@ -46,17 +49,21 @@ class ColumnBlock:
     columns (N - 1 observe every entry) and entries >= 0; or ESTIMATED,
     the Nystrom estimate C U^+ C^T.
 
-    The one SVD of the core is taken when the block is built:
-    ``core_pinv`` is the pseudoinverse U^+ truncated at
-    ``PINV_TOLERANCE``, ``core_singular_values`` the core's spectrum and
-    ``effective_rank`` the number of singular values U^+ keeps.
+    The one symmetric eigendecomposition of the core is taken when the
+    block is built and truncated at ``PINV_TOLERANCE``:
+    ``core_vectors`` holds the r kept eigenvectors P_r (c x r) and
+    ``core_inverse_eigenvalues`` their 1 / lambda_r, so that
+    U^+ = P_r diag(1 / lambda_r) P_r^T; ``core_singular_values`` is the
+    core's spectrum |lambda| in descending order and ``effective_rank``
+    is r.
     """
 
     columns: np.ndarray
     indices: np.ndarray
     kind: MatrixKind
     core: np.ndarray
-    core_pinv: np.ndarray
+    core_vectors: np.ndarray
+    core_inverse_eigenvalues: np.ndarray
     core_singular_values: np.ndarray
     effective_rank: int
 
@@ -88,14 +95,15 @@ class ColumnBlock:
             raise InvariantViolation("core diagonal must be zero")
         if kind is MatrixKind.ESTIMATED and not np.any(core) and np.any(columns):
             raise NumericalError("core block is identically zero")
-        pinv, sigma, rank = _truncated_svd_pinv(core, PINV_TOLERANCE)
+        vectors, inverse, sigma = _truncated_eigh(core, PINV_TOLERANCE)
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "core", freeze(core))
-        object.__setattr__(self, "core_pinv", freeze(pinv))
+        object.__setattr__(self, "core_vectors", freeze(vectors))
+        object.__setattr__(self, "core_inverse_eigenvalues", freeze(inverse))
         object.__setattr__(self, "core_singular_values", freeze(sigma))
-        object.__setattr__(self, "effective_rank", rank)
+        object.__setattr__(self, "effective_rank", inverse.size)
 
     @property
     def size(self) -> int:
@@ -120,8 +128,10 @@ class ColumnBlock:
         return ColumnBlock(matrix.values[:, indices], indices)
 
     def product(self) -> np.ndarray:
-        """Dense N x N product (C U^+) C^T, unsanitized."""
-        return (self.columns @ self.core_pinv) @ self.columns.T
+        """Dense N x N product (C P_r L_r^-1)(C P_r)^T = C U^+ C^T,
+        unsanitized."""
+        factor = self.columns @ self.core_vectors
+        return (factor * self.core_inverse_eigenvalues) @ factor.T
 
     def matrix(self) -> DistanceMatrix:
         """The matrix this block stands for: the observed rows and
@@ -139,14 +149,14 @@ class ColumnBlock:
         return DistanceMatrix(values, mask, MatrixKind.PARTIAL)
 
 
-def _truncated_svd_pinv(matrix: np.ndarray, rel_tolerance: float):
-    """Truncated pseudoinverse, singular values and effective rank of one SVD."""
-    u, s, vt = np.linalg.svd(matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros_like(matrix.T), s, 0
-    keep = s > rel_tolerance * s[0]
-    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T, s, int(keep.sum())
+def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):
+    """Kept eigenvectors, their inverse eigenvalues and the descending
+    |eigenvalues| of one symmetric ``eigh``; an eigenpair is kept when
+    |lambda| exceeds ``rel_tolerance`` times the largest |lambda|."""
+    lam, vectors = np.linalg.eigh(matrix)
+    magnitude = np.abs(lam)
+    keep = magnitude > rel_tolerance * magnitude.max()
+    return vectors[:, keep], 1.0 / lam[keep], np.sort(magnitude)[::-1]
 
 
 def complete_nystrom(block: ColumnBlock) -> DistanceMatrix:

@@ -23,7 +23,7 @@ from wassmatrix import (
     w2_matrix,
 )
 import wassmatrix
-from wassmatrix import cli, matrixio, mc, nystrom
+from wassmatrix import cli, matrixio, mc, measures, nystrom
 from wassmatrix.cli import main
 from wassmatrix.embedding import load_embedding_coords
 from wassmatrix.matrixio import DistanceMatrix, MatrixKind, load, save
@@ -232,6 +232,28 @@ class TestComplete:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "loose.manifest.json").read_text())
         assert manifest["converged"] is True
+
+    def test_mc_underdetermined_point_warns(self, tmp_path, capsys):
+        # point 0 of a planar configuration has two observed distances:
+        # the fit converges, but a point of R^2 needs three
+        rng = np.random.default_rng(91)
+        pts = rng.normal(size=(12, 2))
+        truth = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        mask = np.ones((12, 12), dtype=bool)
+        mask[0, 3:] = mask[3:, 0] = False
+        save(DistanceMatrix.partial(np.where(mask, truth, 0.0), mask),
+             tmp_path / "obs.w2m")
+        capsys.readouterr()
+        assert run("complete", "--algorithm", "mc", "--input", tmp_path / "obs.w2m",
+                   "--rank-estimate", 3, "--out", tmp_path / "est") == 0
+        report = json.loads((tmp_path / "est.report.json").read_text())
+        assert report["underdetermined_points"] == 1
+        rank = report["rank"]
+        assert capsys.readouterr().err == (
+            f"wassmatrix: warning: MC estimate has 1 underdetermined point(s) "
+            f"with fewer than {rank + 1} observed distances at rank {rank}\n")
+        manifest = json.loads((tmp_path / "est.manifest.json").read_text())
+        assert manifest["converged"] is (report["stop_reason"] == "converged")
 
     def test_mc_diverged_exits_2(self, pipeline_dirs, capsys, monkeypatch):
         from wassmatrix.errors import Diverged
@@ -616,7 +638,9 @@ class TestColumnFiles:
 
     def test_embed_manifest_names_the_route(self, run_dir):
         tmp_path, _, _ = run_dir
-        for name, route, eigenpairs in (("est", "columns", 6),
+        # the block stores the r = 5 eigenpairs its core keeps, not c = 6
+        assert load(tmp_path / "est.w2m", expand=False).effective_rank == 5
+        for name, route, eigenpairs in (("est", "columns", 5),
                                         ("full", "dense", 30)):
             assert run("embed", "--input", tmp_path / f"{name}.w2m",
                        "--out", tmp_path / f"{name}.csv") == 0
@@ -705,6 +729,18 @@ class TestColumnFiles:
         assert err.count("\n") == 1 and err.startswith(f"wassmatrix: error: {bad}")
         assert not list(tmp_path.glob("x*"))
 
+    def test_all_zero_estimate_embeds_at_the_origin(self, tmp_path, capsys):
+        # a rank-0 estimate: its core keeps no eigenpair, so B = 0
+        save(ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27]),
+             tmp_path / "zero.w2m")
+        assert run("embed", "--input", tmp_path / "zero.w2m", "--dim", 2,
+                   "--out", tmp_path / "emb.csv") == 0
+        coords = load_embedding_coords(tmp_path / "emb.csv")
+        assert coords.shape == (30, 2)
+        np.testing.assert_array_equal(coords, 0.0)
+        manifest = json.loads((tmp_path / "emb.csv.manifest.json").read_text())
+        assert manifest["spectrum"] == {"route": "columns", "eigenpairs": 0}
+
     @pytest.mark.parametrize("command", ["eval", "embed", "complete"])
     def test_zero_core_estimate_exits_2(self, run_dir, capsys, command):
         # one column of a nonzero matrix: the 1 x 1 core is zero
@@ -740,6 +776,40 @@ class TestClassify:
             data, [0.5, 1.0], 2,
             StabilityConfig(classifiers=("knn1",), seed=13))
         assert summary["reports"] == [r.to_json() for r in reports]
+
+    def test_matrix_reads_only_the_labels(self, tmp_path, capsys, monkeypatch):
+        data_dir = tmp_path / "data"
+        assert run("synth", "--spec", "classes3:rand24", "--seed", 1,
+                   "--out", data_dir) == 0
+        assert run("dist", "--data", data_dir, "--full",
+                   "--out", tmp_path / "full") == 0
+        common = ("classify", "--data", data_dir, "--fractions", "0.5",
+                  "--trials", 2, "--seed", 3)
+        assert run(*common, "--out", tmp_path / "solved") == 0
+
+        def unread(path):
+            raise errors.FormatError(f"{path}: measure file read")
+
+        monkeypatch.setattr(measures, "load_measure", unread)
+        capsys.readouterr()
+        assert run(*common, "--matrix", tmp_path / "full.w2m",
+                   "--out", tmp_path / "given") == 0
+        assert capsys.readouterr().err == ""
+        for name in ("trials.csv", "series.csv", "summary.json"):
+            assert ((tmp_path / "given" / name).read_bytes()
+                    == (tmp_path / "solved" / name).read_bytes())
+        manifest = json.loads(
+            (tmp_path / "given" / "classify.manifest.json").read_text())
+        assert manifest["size"] == 24
+        # without --matrix the measures are still read
+        assert run(*common, "--out", tmp_path / "again") == 1
+        assert "measure file read" in capsys.readouterr().err
+
+    def test_labels_alone_need_the_matrix(self, datasets):
+        labels = load_dataset(datasets["classes3_rand24"]).labels
+        with pytest.raises(errors.UsageError,
+                           match=r"labels alone need the full matrix"):
+            stability_experiment(labels, [1.0], 1, StabilityConfig())
 
     def test_unknown_classifier(self, datasets, tmp_path, capsys):
         capsys.readouterr()

@@ -25,6 +25,7 @@ from wassmatrix.embedding import (
     save_embedding,
 )
 from wassmatrix.errors import UsageError
+from wassmatrix.nystrom import PINV_TOLERANCE
 
 
 def edm_of(points):
@@ -225,7 +226,7 @@ class TestFactoredSpectrum:
         for block in rank5_blocks:
             factored = spectrum(block)
             dense = spectrum(complete_nystrom(block))
-            assert factored.eigenvalues.size == block.count
+            assert factored.eigenvalues.size == block.effective_rank == 5
             assert dense.eigenvalues.size == block.size
             for energy in (0.5, 0.9, 0.97, 0.999):
                 assert (choose_dimension(factored, energy)
@@ -296,3 +297,61 @@ class TestFactoredSpectrum:
                        - np.abs(lam[:d]).sum() / total) <= 1e-9
             assert abs(emb.negative_tail_mass
                        - np.abs(lam[lam < 0]).sum() / total) <= 1e-9
+
+
+def factored_route_fixture(name):
+    """Column blocks the rank-r route must embed like the dense route."""
+    if name == "rank5-n1000-c200":
+        rng = np.random.default_rng(3100)
+        full = DistanceMatrix.full(edm_of(rng.standard_normal((1000, 3))))
+        plan = sample_columns(1000, 200, seed=derive_seed(31, "cols"))
+        return ColumnBlock.from_matrix(full, plan.indices)
+    if name == "non-euclidean-full-rank":
+        return ColumnBlock.from_matrix(
+            DistanceMatrix.estimated(non_euclidean(40, 64)), np.arange(20))
+    return ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27])
+
+
+def svd_oracle_product(block):
+    """C U^+ C^T with U^+ from an SVD of the core, cut at PINV_TOLERANCE."""
+    u, s, vt = np.linalg.svd(block.core)
+    keep = s > PINV_TOLERANCE * s[0]
+    pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
+    return block.columns @ pinv @ block.columns.T
+
+
+class TestRankRRoute:
+    """The r x r route against a dense eigh of the same estimate."""
+
+    @pytest.mark.parametrize("name, rank, b_rank", [
+        ("rank5-n1000-c200", 5, 3),
+        ("non-euclidean-full-rank", 20, None),
+        ("all-zero", 0, 0),
+    ])
+    def test_matches_dense_eigh_of_the_product(self, name, rank, b_rank):
+        block = factored_route_fixture(name)
+        sigma = np.linalg.svd(block.core, compute_uv=False)
+        np.testing.assert_allclose(block.core_singular_values, sigma, rtol=0,
+                                   atol=1e-12 * sigma[0])
+        assert block.effective_rank == np.sum(sigma > PINV_TOLERANCE * sigma[0])
+        assert block.effective_rank == rank
+        raw = svd_oracle_product(block)
+        lam, vec = np.linalg.eigh(double_center(0.5 * (raw + raw.T)))
+        dense = Spectrum(lam[::-1], vec[:, ::-1], block.size)
+        factored = spectrum(block)
+        assert factored.eigenvalues.size == rank
+        scale = np.abs(lam).max()
+        for energy in (0.3, 0.5, 0.8, 0.9, 0.97, 0.999):
+            assert (choose_dimension(factored, energy)
+                    == choose_dimension(dense, energy))
+        if b_rank is None:  # every positive eigenvalue is well separated
+            b_rank = int(np.sum(factored.eigenvalues > 1e-9 * scale))
+        for d in (1, max(b_rank, 1), rank + 3):
+            ef, ed = mds(factored, d), mds(dense, d)
+            assert_close(ef.eigenvalues, ed.eigenvalues, scale)
+            assert abs(ef.spectrum_energy - ed.spectrum_energy) <= 1e-9
+            assert abs(ef.negative_tail_mass - ed.negative_tail_mass) <= 1e-9
+            if d <= max(b_rank, 1):
+                assert_close(ef.coords, ed.coords, np.abs(ed.coords).max())
+        if rank == 0:
+            np.testing.assert_array_equal(mds(factored, 2).coords, 0.0)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from wassmatrix import DistanceMatrix, McConfig, apply_A, complete_mc
+from wassmatrix import (derive_seed, sample_entries, synth_translation_family,
+                        w2_matrix)
+from wassmatrix.measures import two_atom_base
 from wassmatrix import mc
 from wassmatrix.errors import Diverged, UsageError
 from wassmatrix.matrixio import MatrixKind
@@ -468,3 +471,40 @@ class TestMcConfig:
         obj = rep.to_json(max_trace=100)
         assert len(obj["residual_trace"]) <= 101
         assert obj["residual_trace"][-1] == pytest.approx(0.5)
+
+
+class TestUnderdeterminedPoints:
+    """Points with fewer than rank + 1 observed distances are counted."""
+
+    def test_point_observed_twice_is_counted(self):
+        rng = np.random.default_rng(90)
+        truth = edm_of(rng.normal(size=(12, 2)))
+        mask = np.ones((12, 12), dtype=bool)
+        mask[0, 3:] = mask[3:, 0] = False  # point 0 sees points 1 and 2 only
+        d_obs = DistanceMatrix.partial(np.where(mask, truth, 0.0), mask)
+        est, report = complete_mc(d_obs, McConfig(rank_estimate=3, seed=1))
+        assert report.rank in (2, 3)
+        assert report.underdetermined_points == 1
+        assert report.to_json()["underdetermined_points"] == 1
+        # the count changes no estimate bits
+        again, _ = complete_mc(d_obs, McConfig(rank_estimate=3, seed=1))
+        assert again.values.tobytes() == est.values.tobytes()
+
+    def test_criterion_06_samples(self):
+        """Criterion 06's data: every point of the 10% samples has enough
+        observations, and at 5% seeds 0, 4 and 8 leave one point with
+        only two."""
+        ii, jj = np.meshgrid(np.arange(20.0), np.arange(10.0), indexing="ij")
+        data = synth_translation_family(
+            two_atom_base(), np.column_stack([ii.ravel(), jj.ravel()]))
+        counts = {}
+        for rate, seeds in ((0.10, range(10)), (0.05, (0, 4, 8))):
+            for seed in seeds:
+                plan = sample_entries(200, rate,
+                                      derive_seed(6, "entries", rate, seed))
+                _, report = complete_mc(w2_matrix(data, plan), McConfig(
+                    rank_estimate=5, seed=derive_seed(6, "mc", rate, seed)))
+                assert report.rank == 2
+                counts[rate, seed] = report.underdetermined_points
+        assert all(counts[0.10, s] == 0 for s in range(10))
+        assert [counts[0.05, s] for s in (0, 4, 8)] == [1, 1, 1]

@@ -12,7 +12,7 @@ from wassmatrix import (
 )
 from wassmatrix.errors import InvariantViolation, NumericalError, UsageError
 from wassmatrix.matrixio import MatrixKind
-from wassmatrix.nystrom import PINV_TOLERANCE, _truncated_svd_pinv
+from wassmatrix.nystrom import PINV_TOLERANCE, _truncated_eigh
 
 
 def edm_of(points):
@@ -49,18 +49,30 @@ class TestColumnBlock:
             ColumnBlock(np.ones((3, 1)), [0])
 
 
+def truncated_pinv(matrix):
+    """U^+ from the kept eigenpairs of :func:`_truncated_eigh`."""
+    vectors, inverse, _ = _truncated_eigh(matrix, PINV_TOLERANCE)
+    return (vectors * inverse) @ vectors.T
+
+
+def svd_pinv(matrix):
+    """Oracle: the pseudoinverse from an SVD, cut at PINV_TOLERANCE."""
+    u, s, vt = np.linalg.svd(matrix)
+    keep = s > PINV_TOLERANCE * s[0]
+    return (vt[keep].T / s[keep]) @ u[:, keep].T
+
+
 class TestTruncatedPinv:
     def test_matches_numpy_on_well_conditioned(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(6, 6))
         a = a + a.T
-        np.testing.assert_allclose(_truncated_svd_pinv(a, 1e-12)[0],
-                                   np.linalg.pinv(a), atol=1e-9)
+        np.testing.assert_allclose(truncated_pinv(a), np.linalg.pinv(a),
+                                   atol=1e-9)
 
     def test_truncates_small_singular_values(self):
         a = np.diag([1.0, 1e-14])
-        p = _truncated_svd_pinv(a, 1e-10)[0]
-        np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
+        np.testing.assert_array_equal(truncated_pinv(a), np.diag([1.0, 0.0]))
 
 
 class TestNystromFactor:
@@ -74,16 +86,23 @@ class TestNystromFactor:
         np.fill_diagonal(vals, 0.0)
         return ColumnBlock.from_matrix(DistanceMatrix.full(vals), idx)
 
-    def test_one_svd_gives_pinv_spectrum_and_rank(self):
+    def test_one_eigh_gives_pinv_spectrum_and_rank(self):
         block = self.noisy_block(26, [0, 3, 5, 9, 12])
-        pinv = _truncated_svd_pinv(block.core, PINV_TOLERANCE)[0]
-        np.testing.assert_array_equal(block.core_pinv, pinv)
+        vectors, inverse = block.core_vectors, block.core_inverse_eigenvalues
+        oracle = svd_pinv(block.core)
+        pinv = (vectors * inverse) @ vectors.T
+        np.testing.assert_allclose(pinv, oracle, rtol=0,
+                                   atol=1e-12 * np.abs(oracle).max())
         sigma = np.linalg.svd(block.core, compute_uv=False)
         np.testing.assert_allclose(block.core_singular_values, sigma,
                                    rtol=1e-12)
         assert block.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
+        factor = block.columns @ vectors
         np.testing.assert_array_equal(block.product(),
-                                      block.columns @ pinv @ block.columns.T)
+                                      (factor * inverse) @ factor.T)
+        dense = block.columns @ oracle @ block.columns.T
+        np.testing.assert_allclose(block.product(), dense, rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
 
     def test_truncation_sets_effective_rank(self):
         rng = np.random.default_rng(27)
@@ -98,7 +117,9 @@ class TestNystromFactor:
     def test_factors_are_read_only(self):
         block = self.noisy_block(29, [2, 6, 11])
         with pytest.raises(ValueError):
-            block.core_pinv[0, 0] = 1.0
+            block.core_vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            block.core_inverse_eigenvalues[0] = 1.0
 
 
 class TestCompleteNystrom:
@@ -129,9 +150,7 @@ class TestCompleteNystrom:
         v[0] = 1.7
         target = np.outer(v, v)
         columns = target[:, [0]]
-        core_pinv = _truncated_svd_pinv(target[np.ix_([0], [0])],
-                                        PINV_TOLERANCE)[0]
-        product = columns @ core_pinv @ columns.T
+        product = columns @ truncated_pinv(target[np.ix_([0], [0])]) @ columns.T
         np.testing.assert_allclose(product, target, atol=1e-12)
 
     def test_degenerate_core(self):
