@@ -44,6 +44,8 @@ from .ot import w2_matrix
 from .sampling import sample_columns
 from .seeding import derive_seed
 
+_LDA_RIDGE = 1e-6  # pooled covariance += this * trace / dim * I
+
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -91,12 +93,11 @@ def knn1_classify(train_points: np.ndarray, train_labels: np.ndarray,
 
 
 def lda_classify(train_points: np.ndarray, train_labels: np.ndarray,
-                 test_points: np.ndarray,
-                 ridge: float = 1e-6) -> np.ndarray:
+                 test_points: np.ndarray) -> np.ndarray:
     """Linear discriminant analysis with a shared covariance.
 
     The pooled within-class covariance is ridge-regularized by
-    ``ridge * trace / dim`` to stay invertible; class priors are the
+    ``_LDA_RIDGE * trace / dim`` to stay invertible; class priors are the
     training frequencies.  Ties resolve to the smallest class label.
     """
     X = np.atleast_2d(np.asarray(train_points, dtype=np.float64))
@@ -112,7 +113,7 @@ def lda_classify(train_points: np.ndarray, train_labels: np.ndarray,
         centered = X[y == c] - mu
         pooled += centered.T @ centered
     pooled /= n - classes.size
-    lam = ridge * max(np.trace(pooled) / p, np.finfo(float).tiny)
+    lam = _LDA_RIDGE * max(np.trace(pooled) / p, np.finfo(float).tiny)
     pooled += lam * np.eye(p)
     solved = np.linalg.solve(pooled, means.T)  # (p, K)
     scores = T @ solved - 0.5 * np.einsum("kp,pk->k", means, solved)
@@ -184,7 +185,7 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     if cfg.fixed_dimension is not None:
         dim = min(max(cfg.fixed_dimension, 1), n - 1)
     else:
-        dim = min(choose_dimension(spec, cfg.energy), n - 1)
+        dim = choose_dimension(spec, cfg.energy)
     emb = mds(spec, dim)
     split = split_train_test(n, cfg.test_fraction, derive_seed(trial_seed, "split"))
     train_x = emb.coords[split.train_indices]

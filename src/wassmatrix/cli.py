@@ -17,7 +17,8 @@ their options with enough to re-run them bit-identically; ``eval`` and
 ``budget`` write only their optional JSON result.  Output files append
 suffixes to the ``--out`` base.
 ``dist --columns`` writes the sampled columns C = D(:, I) and I, not
-the N x N matrix; ``complete --algorithm nystrom`` writes its estimate
+the N x N matrix, for every column count; ``complete --algorithm
+nystrom`` takes only such a column file and writes its estimate
 C U^+ C^T as the same C and I (an estimate given as input comes back
 unchanged); ``embed`` of that estimate embeds the raw product from the
 block in O(N c r), r the core's effective rank, as ``classify`` does;
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import matrixio, sampling
-from .matrixio import DistanceMatrix, MatrixKind
+from .matrixio import MatrixKind
 from .classify import (
     StabilityConfig,
     save_reports_csv,
@@ -182,7 +183,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
         plan = sample_columns(n, args.columns, plan_seed)
     matrix = w2_matrix(data, plan, resolved_workers(args.workers))
     w2m = _out_path(args.out, ".w2m")
-    if args.columns is not None and matrix.kind is MatrixKind.PARTIAL:
+    if args.columns is not None:
         matrixio.save(ColumnBlock(matrix.values[:, plan.indices], plan.indices,
                                   MatrixKind.PARTIAL), w2m)
     else:
@@ -201,18 +202,6 @@ def cmd_dist(args: argparse.Namespace) -> int:
                     time.perf_counter() - t0)
     print(f"wrote {matrix.kind.name} matrix of size {n} to {w2m}")
     return EXIT_OK
-
-
-def _nystrom_block(stored: DistanceMatrix | ColumnBlock) -> ColumnBlock:
-    """The estimate's block: a column file's own columns (a PARTIAL one
-    has at most N - 2, so exactly its own are fully observed, and an
-    ESTIMATED one gives back its own estimate), else the block of every
-    fully observed column."""
-    if isinstance(stored, ColumnBlock):
-        return ColumnBlock(stored.columns, stored.indices)
-    indices = np.flatnonzero(stored.mask.all(axis=0))
-    _require(indices.size > 0, "nystrom needs at least one fully observed column")
-    return ColumnBlock.from_matrix(stored, indices)
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
@@ -242,7 +231,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
                   f"fewer than {report.rank + 1} observed distances at rank "
                   f"{report.rank}", file=sys.stderr)
     else:
-        estimate = _nystrom_block(stored)
+        _require(isinstance(stored, ColumnBlock),
+                 "nystrom needs a column file (dist --columns)")
+        # an ESTIMATED file's own columns reproduce it
+        estimate = ColumnBlock(stored.columns, stored.indices)
         rank, sigma = estimate.effective_rank, estimate.core_singular_values
         report_obj = {
             "columns": estimate.count,

@@ -111,11 +111,14 @@ def spectrum(source: DistanceMatrix | ColumnBlock | Spectrum) -> Spectrum:
     eigenvalues its core keeps) takes the O(N c r) route: with the thin
     QR H F = Q R, B = Q (-1/2 R L^-1 R^T) Q^T, so the r x r eigenproblem
     gives every nonzero eigenvalue and Q lifts its vectors.  A
-    :class:`Spectrum` is returned as is.  A PARTIAL matrix or block
+    :class:`Spectrum` is returned as is.  A PARTIAL block is read as its
+    matrix, FULL once its columns cover every entry; a PARTIAL matrix
     raises :class:`UsageError`: its unobserved entries are not distances.
     """
     if isinstance(source, Spectrum):
         return source
+    if isinstance(source, ColumnBlock) and source.kind is MatrixKind.PARTIAL:
+        source = source.matrix()
     if source.kind is MatrixKind.PARTIAL:
         raise UsageError("MDS needs a FULL or ESTIMATED matrix, got PARTIAL")
     if isinstance(source, ColumnBlock):
@@ -153,8 +156,9 @@ def mds(source: DistanceMatrix | ColumnBlock | Spectrum, d: int) -> Embedding:
 def choose_dimension(source: DistanceMatrix | ColumnBlock | Spectrum,
                      energy: float) -> int:
     """Smallest d whose top-d singular values of B reach ``energy`` of
-    the total singular-value sum.  B is symmetric, so its singular
-    values are the |lambda| of :func:`spectrum` (and zero beyond it)."""
+    the total singular-value sum, capped at N - 1: B is symmetric and
+    annihilates the ones vector, so its singular values are the |lambda|
+    of :func:`spectrum`, at most N - 1 of them nonzero."""
     if not 0.0 < energy < 1.0:
         raise ValueError(f"energy must lie in (0, 1), got {energy}")
     spec = spectrum(source)
@@ -163,9 +167,9 @@ def choose_dimension(source: DistanceMatrix | ColumnBlock | Spectrum,
     if total <= 0.0:
         return 1
     fractions = np.cumsum(sigma) / total
-    # cumsum/total can fall an ulp short of 1 at the end; then all N are needed
+    # cumsum/total can fall an ulp short of 1 at the end; then all are needed
     k = int(np.searchsorted(fractions, energy))
-    return k + 1 if k < sigma.size else spec.size
+    return min(k + 1 if k < sigma.size else spec.size, spec.size - 1)
 
 
 def save_embedding(embedding: Embedding, path, labels=None) -> None:

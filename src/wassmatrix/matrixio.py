@@ -28,7 +28,8 @@ Columns (a ``nystrom.ColumnBlock``)::
 
 ``load`` returns a ``DistanceMatrix`` for either layout: a column file
 expands to what its block's ``matrix()`` gives, the values and mask of
-the column plan (PARTIAL) or the sanitized product
+the column plan (PARTIAL, or FULL when c >= N - 1 columns cover every
+entry) or the sanitized product
 ``nystrom.complete_nystrom`` gives (ESTIMATED).  ``load(path,
 expand=False)`` returns a column file as its ``ColumnBlock``, without
 forming the N x N matrix; a dense file comes back as it is.

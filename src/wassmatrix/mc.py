@@ -64,6 +64,7 @@ _POLISH_STEPS = 25  # LM steps each candidate rank gets in rank descent
 _DAMPING_START = 1e-3  # initial mu of each fit, per unit of ||r||
 _CG_FORCING = 0.1  # CG stops at min(this, relative residual) * ||J^T r||
 _CG_STEPS = 100  # cap on the CG iterations of one LM step
+_MAX_TRACE = 200  # residual trace points a report keeps
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,10 @@ class ConvergenceReport:
     underdetermined_points: int = 0
     residual_trace: list = field(default_factory=list)
 
-    def to_json(self, max_trace: int = 200) -> dict:
+    def to_json(self) -> dict:
         trace = self.residual_trace
-        if len(trace) > max_trace:  # thin, always keeping the last point
-            stride = -(-len(trace) // max_trace)
+        if len(trace) > _MAX_TRACE:  # thin, always keeping the last point
+            stride = -(-len(trace) // _MAX_TRACE)
             trace = trace[::stride] + ([trace[-1]] if (len(trace) - 1) % stride else [])
         return {
             "iterations": self.iterations,

@@ -147,7 +147,7 @@ def measure_from_grid_image(pixels, threshold: float = 0.0) -> DiscreteMeasure:
 # --- synthetic families ------------------------------------------------------
 
 def synth_translation_family(base: DiscreteMeasure, shifts,
-                             labels=None, name: str = "translations") -> MeasureDataset:
+                             name: str = "translations") -> MeasureDataset:
     """Translate ``base`` by each shift vector.
 
     For this family W2(mu_i, mu_j) equals ||shift_i - shift_j|| exactly,
@@ -160,16 +160,16 @@ def synth_translation_family(base: DiscreteMeasure, shifts,
         raise UsageError(
             f"shifts have dimension {shifts.shape[1]}, base {base.dimension}"
         )
-    return MeasureDataset([base.translated(s) for s in shifts], labels, name)
+    return MeasureDataset([base.translated(s) for s in shifts], name=name)
 
 
 def synth_dilation_family(base: DiscreteMeasure, scales,
-                          labels=None, name: str = "dilations") -> MeasureDataset:
+                          name: str = "dilations") -> MeasureDataset:
     """Scale the support of ``base`` by each factor (all factors > 0)."""
     scales = np.asarray(scales, dtype=np.float64).ravel()
     if np.any(scales <= 0):
         raise UsageError("all scales must be strictly positive")
-    return MeasureDataset([base.dilated(s) for s in scales], labels, name)
+    return MeasureDataset([base.dilated(s) for s in scales], name=name)
 
 
 def two_atom_base(half_separation: float = 0.5,

@@ -13,11 +13,11 @@ rows/columns are not re-imposed on it.
 
 :class:`ColumnBlock` is the one column type: C and I, checked once, with
 P_r and 1 / lambda_r from the one ``eigh`` of the core taken when the
-block is built.  A PARTIAL block is the computed columns of a column
-plan, an ESTIMATED one the estimate C U^+ C^T; ``matrixio`` saves and
-loads either as the ``W2DCOL01`` layout, and ``embedding.spectrum``
-embeds an ESTIMATED block directly in O(N c r) without forming the
-N x N product.
+block is built.  A PARTIAL block is the computed columns of any column
+plan (FULL once c >= N - 1), an ESTIMATED one the estimate C U^+ C^T;
+``matrixio`` saves and loads either as the ``W2DCOL01`` layout, and
+``embedding.spectrum`` embeds an ESTIMATED block directly in O(N c r)
+without forming the N x N product.
 
 Also here: the Procrustes alignment distance used to compare
 embeddings.
@@ -45,9 +45,9 @@ class ColumnBlock:
     ``indices`` are strictly increasing, the entries finite and the core
     U = C(I, :) exactly symmetric with a zero diagonal.  ``kind`` says
     which matrix the block stands for (see :meth:`matrix`): PARTIAL, the
-    matrix that observes exactly its rows and columns, so at most N - 2
-    columns (N - 1 observe every entry) and entries >= 0; or ESTIMATED,
-    the Nystrom estimate C U^+ C^T.
+    matrix that observes exactly its rows and columns, with entries
+    >= 0 (FULL once c >= N - 1 columns cover every entry); or
+    ESTIMATED, the Nystrom estimate C U^+ C^T.
 
     The one symmetric eigendecomposition of the core is taken when the
     block is built and truncated at ``PINV_TOLERANCE``:
@@ -81,9 +81,6 @@ class ColumnBlock:
                 or np.any(np.diff(indices) <= 0)):
             raise InvariantViolation(
                 f"column indices must be strictly increasing in [0, {n})")
-        if kind is MatrixKind.PARTIAL and indices.size >= n - 1:
-            raise InvariantViolation(f"{indices.size} columns observe every entry "
-                                     f"of an {n} x {n} matrix")
         if not np.all(np.isfinite(columns)):
             raise InvariantViolation("columns must be finite")
         if kind is MatrixKind.PARTIAL and np.any(columns < 0):
@@ -135,7 +132,8 @@ class ColumnBlock:
 
     def matrix(self) -> DistanceMatrix:
         """The matrix this block stands for: the observed rows and
-        columns of a PARTIAL block, zero elsewhere, or the sanitized
+        columns of a PARTIAL block, zero elsewhere (FULL when they cover
+        every entry, as ``ot.w2_matrix`` marks it), or the sanitized
         Nystrom estimate of an ESTIMATED one."""
         if self.kind is MatrixKind.ESTIMATED:
             return complete_nystrom(self)
@@ -146,7 +144,8 @@ class ColumnBlock:
         mask = np.eye(n, dtype=bool)
         mask[:, idx] = True
         mask[idx, :] = True
-        return DistanceMatrix(values, mask, MatrixKind.PARTIAL)
+        kind = MatrixKind.FULL if mask.all() else MatrixKind.PARTIAL
+        return DistanceMatrix(values, mask, kind)
 
 
 def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):

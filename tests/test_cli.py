@@ -186,10 +186,9 @@ class TestComplete:
             sigma[0] / sigma[3], rel=1e-12, abs=0.0)
 
     def test_nystrom_all_zero_input_has_no_condition(self, tmp_path, capsys):
-        n = 3  # a FULL all-zero matrix, written byte by byte
+        # an all-zero PARTIAL column file of N = 3, written byte by byte
         (tmp_path / "z.w2m").write_bytes(
-            b"W2DMAT01" + struct.pack("<Q", n) + bytes(8 * n * n)
-            + bytes([1]) * (n * n) + bytes([0]))
+            column_bytes(np.zeros((3, 2)), [0, 2], MatrixKind.PARTIAL))
         assert run("complete", "--algorithm", "nystrom",
                    "--input", tmp_path / "z.w2m", "--out", tmp_path / "est") == 0
         report = json.loads((tmp_path / "est.report.json").read_text())
@@ -353,16 +352,14 @@ class TestComplete:
                    "--out", base) == 0
         assert run("dist", "--data", data_dir, "--full", "--out", base) == 0
         assert not (tmp_path / "run" / "x.plan.json").exists()
+        capsys.readouterr()
         assert run("complete", "--algorithm", "nystrom",
                    "--input", tmp_path / "run" / "x.w2m",
-                   "--out", tmp_path / "run" / "est") == 0
-        report = json.loads((tmp_path / "run" / "est.report.json").read_text())
-        assert report["columns"] == 20
-        truth = load(tmp_path / "run" / "x.w2m")
-        est = load(tmp_path / "run" / "est.w2m")
-        assert relative_error(est, truth) <= 1e-9
+                   "--out", tmp_path / "run" / "est") == 1
+        assert "nystrom needs a column file" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("est*"))
 
-        # a partial matrix completes from its mask, with or without its plan
+        # a column file completes with or without its plan
         assert run("dist", "--data", data_dir, "--columns", 5,
                    "--out", tmp_path / "run" / "y") == 0
         estimates = []
@@ -378,14 +375,20 @@ class TestComplete:
         assert estimates[0] == estimates[1]
 
     def test_nystrom_rejects_entry_plan(self, pipeline_dirs, capsys):
+        # an entry sample, a FULL matrix and an MC estimate are dense files
         tmp_path, data_dir = pipeline_dirs
         run("dist", "--data", data_dir, "--rate", 0.5, "--seed", 5,
             "--out", tmp_path / "ent2")
-        assert run("complete", "--algorithm", "nystrom",
-                   "--input", tmp_path / "ent2.w2m",
-                   "--out", tmp_path / "bad") == 1
-        assert (capsys.readouterr().err == "wassmatrix: error: nystrom needs "
-                "at least one fully observed column\n")
+        run("complete", "--algorithm", "mc", "--input", tmp_path / "ent2.w2m",
+            "--rank-estimate", 4, "--out", tmp_path / "mcest")
+        capsys.readouterr()
+        for name in ("ent2", "full", "mcest"):
+            assert run("complete", "--algorithm", "nystrom",
+                       "--input", tmp_path / f"{name}.w2m",
+                       "--out", tmp_path / "bad") == 1
+            assert (capsys.readouterr().err == "wassmatrix: error: nystrom needs "
+                    "a column file (dist --columns)\n")
+            assert not list(tmp_path.glob("bad*"))
 
 
 class TestRemovedOptions:
@@ -439,12 +442,13 @@ class TestMcOnlyOptions:
     @pytest.fixture()
     def inputs(self, tmp_path, capsys):
         run("synth", "--spec", "translations:grid3", "--out", tmp_path / "data")
-        run("dist", "--data", tmp_path / "data", "--full", "--out", tmp_path / "full")
+        run("dist", "--data", tmp_path / "data", "--columns", 4,
+            "--out", tmp_path / "cols")
         (tmp_path / "cfg.json").write_text(json.dumps({"max_outer_iters": 50}))
         capsys.readouterr()
         return tmp_path
 
-    NYSTROM = ("complete", "--algorithm", "nystrom", "--input", "{d}/full.w2m")
+    NYSTROM = ("complete", "--algorithm", "nystrom", "--input", "{d}/cols.w2m")
 
     @pytest.mark.parametrize("extra, named", [
         (("--rank-estimate", 7), "--rank-estimate"),
@@ -467,7 +471,7 @@ class TestMcOnlyOptions:
         assert not list(inputs.glob("x*"))
 
     def test_mc_manifest_echoes_the_settings_used(self, inputs, capsys):
-        assert run("complete", "--algorithm", "mc", "--input", inputs / "full.w2m",
+        assert run("complete", "--algorithm", "mc", "--input", inputs / "cols.w2m",
                    "--set", "rank_estimate=3", "--out", inputs / "mc") == 0
         config = json.loads((inputs / "mc.manifest.json").read_text())["config"]
         assert (config["rank_estimate"], config["max_outer_iters"],
@@ -650,18 +654,28 @@ class TestColumnFiles:
 
     def test_dense_input_gives_every_observed_column(self, datasets, tmp_path,
                                                      capsys):
-        # at c = N - 1 every entry is computed: dist writes a dense FULL
-        # matrix and nystrom takes all N columns, as from --full
+        # at c = N - 1 and c = N every entry is computed: dist still writes
+        # a column file, and it reads as the FULL matrix w2_matrix gives
         data = datasets["translations_rand10"]
-        assert run("dist", "--data", data, "--columns", 9,
-                   "--out", tmp_path / "c9") == 0
-        assert load(tmp_path / "c9.w2m", expand=False).kind is MatrixKind.FULL
-        assert run("complete", "--algorithm", "nystrom",
-                   "--input", tmp_path / "c9.w2m", "--out", tmp_path / "est") == 0
-        est = load(tmp_path / "est.w2m", expand=False)
-        np.testing.assert_array_equal(est.indices, np.arange(10))
-        full = load(tmp_path / "c9.w2m")
-        assert est.columns.tobytes() == full.values.tobytes()
+        for c in (9, 10):
+            w2m = tmp_path / f"c{c}.w2m"
+            assert run("dist", "--data", data, "--columns", c,
+                       "--out", tmp_path / f"c{c}") == 0
+            cols = load(w2m, expand=False)
+            assert isinstance(cols, ColumnBlock) and cols.kind is MatrixKind.PARTIAL
+            plan = load_plan(tmp_path / f"c{c}.plan.json")
+            expect, got = w2_matrix(load_dataset(data), plan), load(w2m)
+            assert got.kind is expect.kind is MatrixKind.FULL
+            assert got.values.tobytes() == expect.values.tobytes()
+            assert got.mask.tobytes() == expect.mask.tobytes()
+            assert run("embed", "--input", w2m, "--dim", 2,
+                       "--out", tmp_path / f"emb{c}.csv") == 0
+            assert run("complete", "--algorithm", "nystrom", "--input", w2m,
+                       "--out", tmp_path / f"est{c}") == 0
+            est = load(tmp_path / f"est{c}.w2m", expand=False)
+            np.testing.assert_array_equal(est.indices, plan.indices)
+            assert est.columns.tobytes() == cols.columns.tobytes()
+            assert relative_error(est.matrix(), got) <= 1e-9  # the planar EDM
 
     def test_estimate_input_gives_back_its_own_columns(self, run_dir, capsys):
         # the estimate's columns I reproduce C U^+ C^T, so the file is kept
@@ -691,8 +705,7 @@ class TestColumnFiles:
     @pytest.mark.parametrize("defect", ["truncated", "bad-magic",
                                         "index-out-of-range", "duplicate-index",
                                         "asymmetric-core", "nan-entry",
-                                        "core-diagonal", "negative-partial-entry",
-                                        "partial-n-minus-1-columns"])
+                                        "core-diagonal", "negative-partial-entry"])
     def test_malformed_file_exits_1(self, run_dir, capsys, command, defect):
         tmp_path, _, plan = run_dir
         blob = bytearray((tmp_path / "cols.w2m").read_bytes())
@@ -714,11 +727,8 @@ class TestColumnFiles:
         elif defect == "core-diagonal":  # core entry (0, 0)
             row = 72 + 48 * int(plan.indices[0])
             blob[row:row + 8] = struct.pack("<d", 1.5)
-        elif defect == "negative-partial-entry":
+        else:  # negative-partial-entry
             blob[outside:outside + 8] = struct.pack("<d", -1.0)
-        else:  # N - 1 columns of the full matrix, marked PARTIAL
-            full = load(tmp_path / "full.w2m").values
-            blob = column_bytes(full[:, :29], range(29), MatrixKind.PARTIAL)
         bad = tmp_path / "bad.w2m"
         bad.write_bytes(bytes(blob))
         argv = {"eval": ("eval", "--estimate", bad, "--truth", tmp_path / "full.w2m"),

@@ -179,6 +179,18 @@ class TestChooseDimension:
             assert got >= previous  # d grows with the threshold
             previous = got
 
+    def test_dimension_near_one_is_one_mds_accepts(self):
+        # the top six |eigenvalues| of B fall an ulp short of this energy
+        # and the seventh, at round-off (B annihilates the ones vector),
+        # reaches it; an embedding has at most N - 1 = 6 dimensions
+        a = np.abs(np.random.default_rng(185).normal(size=(7, 7)))
+        values = a + a.T
+        np.fill_diagonal(values, 0.0)
+        spec = spectrum(DistanceMatrix.full(values))
+        dim = choose_dimension(spec, np.nextafter(1.0, 0.0))
+        assert dim == 6
+        assert mds(spec, dim).dimension == 6
+
     def test_energy_validated(self):
         full = DistanceMatrix.full(np.zeros((3, 3)))
         with pytest.raises(ValueError):
@@ -254,13 +266,13 @@ class TestFactoredSpectrum:
     def test_rounding_short_of_energy_needs_all_n(self):
         # 20 stored eigenvalues of an N=50 spectrum whose cumulative
         # fraction rounds to just below 1: as on the dense route, only
-        # all N dimensions reach an energy above it
+        # all N - 1 dimensions reach an energy above it
         rng = np.random.default_rng(0)
         for _ in range(3):
             lam = np.sort(rng.random(20))[::-1]
         assert (np.cumsum(lam) / lam.sum())[-1] < 1.0
         spec = Spectrum(lam, np.zeros((50, 20)), 50)
-        assert choose_dimension(spec, np.nextafter(1.0, 0.0)) == 50
+        assert choose_dimension(spec, np.nextafter(1.0, 0.0)) == 49
 
     def test_non_euclidean_dense_matches_svd_oracle(self):
         vals = non_euclidean(30, 63)

@@ -251,12 +251,6 @@ class TestColumns:
         with pytest.raises(InvariantViolation, match=message):
             ColumnBlock(block, indices, kind)
 
-    def test_partial_has_at_most_n_minus_2_columns(self):
-        full = random_full(np.random.default_rng(14), 4).values
-        ColumnBlock(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.ESTIMATED)
-        with pytest.raises(InvariantViolation, match="observe every entry"):
-            ColumnBlock(full[:, [0, 1, 2]], [0, 1, 2], MatrixKind.PARTIAL)
-
     def test_core_must_be_symmetric_with_zero_diagonal(self):
         block = random_full(np.random.default_rng(15), 5).values[:, [1, 3]]
         bad = block.copy()
@@ -296,8 +290,7 @@ class TestMalformedColumnFiles:
         ("full-kind", "PARTIAL or ESTIMATED"),
         ("nan-entry", "finite"),
         ("core-diagonal", "diagonal"),
-        ("negative-partial-entry", ">= 0"),
-        ("partial-n-minus-1-columns", "observe every entry")])
+        ("negative-partial-entry", ">= 0")])
     @pytest.mark.parametrize("expand", [True, False])
     def test_format_error(self, tmp_path, defect, message, expand):
         blob = column_file(tmp_path)  # N = 6, c = 2: I at 24..40, C from 40
@@ -320,11 +313,8 @@ class TestMalformedColumnFiles:
             blob[40:48] = struct.pack("<d", float("nan"))
         elif defect == "core-diagonal":  # C(1, 0) is core entry (0, 0)
             blob[56:64] = struct.pack("<d", 123.0)
-        elif defect == "negative-partial-entry":
+        else:  # negative-partial-entry
             blob[40:48] = struct.pack("<d", -1.0)
-        else:  # N - 1 columns observe every entry: not a PARTIAL file
-            blob = column_file(tmp_path, indices=range(5), kind=MatrixKind.ESTIMATED)
-            blob[-1] = MatrixKind.PARTIAL.value
         (tmp_path / "bad.w2m").write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=message):
             load(tmp_path / "bad.w2m", expand=expand)

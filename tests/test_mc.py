@@ -468,8 +468,9 @@ class TestMcConfig:
                                 final_residual=0.5, stop_reason="max_iters",
                                 rank=2,
                                 residual_trace=list(np.linspace(1, 0.5, 999)))
-        obj = rep.to_json(max_trace=100)
-        assert len(obj["residual_trace"]) <= 101
+        assert 999 > mc._MAX_TRACE
+        obj = rep.to_json()
+        assert len(obj["residual_trace"]) <= mc._MAX_TRACE + 1
         assert obj["residual_trace"][-1] == pytest.approx(0.5)
 
 
