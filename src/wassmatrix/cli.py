@@ -22,9 +22,11 @@ nystrom`` takes only such a column file and writes its estimate
 C U^+ C^T as the same C and I (an estimate given as input comes back
 unchanged); ``embed`` of that estimate embeds the raw product from the
 block in O(N c r), r the core's effective rank, as ``classify`` does;
-MC output stays dense.  Every ``.w2m`` reads back as its N x N matrix
-elsewhere (``eval``, ``classify --matrix``, MC input); ``classify
---matrix`` reads only the labels of ``--data``, not its measures.
+MC output stays dense.  ``eval`` compares a Nystrom estimate with the
+truth one row block at a time, without forming it; every other
+``.w2m`` reads back as its N x N matrix (``eval``, ``classify
+--matrix``, MC input); ``classify --matrix`` reads only the labels of
+``--data``, not its measures.
 ``--config FILE`` (JSON) and ``--set key=value`` set the command's own
 options by name: ``rank_estimate=5`` is ``--rank-estimate=5``, so a
 value gets its flag's type, choices, required and exclusivity checks.
@@ -41,6 +43,7 @@ pairs go to the workers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -234,7 +237,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
         _require(isinstance(stored, ColumnBlock),
                  "nystrom needs a column file (dist --columns)")
         # an ESTIMATED file's own columns reproduce it
-        estimate = ColumnBlock(stored.columns, stored.indices)
+        estimate = stored.estimate()
         rank, sigma = estimate.effective_rank, estimate.core_singular_values
         report_obj = {
             "columns": estimate.count,
@@ -281,7 +284,10 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    estimate = matrixio.load(args.input)
+    # a Nystrom estimate is compared row block by row block
+    estimate = matrixio.load(args.input, expand=False)
+    if isinstance(estimate, ColumnBlock) and estimate.kind is MatrixKind.PARTIAL:
+        estimate = estimate.matrix()  # FULL once its columns cover D
     truth = matrixio.load(args.truth)
     err = matrixio.relative_error(estimate, truth)
     if args.out:
@@ -326,6 +332,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 # --- wiring -----------------------------------------------------------------------
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """``make_parser()``, built once per process."""
+    return make_parser()
+
 
 def make_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser, and each command's parser by name."""
@@ -467,7 +479,7 @@ def _config_flags(command: argparse.ArgumentParser, argv: list) -> list:
 def _parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv`` in one pass, with the command's ``--config`` and
     ``--set`` values as flags ahead of its own (see ``_config_flags``)."""
-    parser, commands = make_parser()
+    parser, commands = _parsers()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in commands:
         argv[1:] = _config_flags(commands[argv[0]], argv[1:])

@@ -33,6 +33,15 @@ entry) or the sanitized product
 ``nystrom.complete_nystrom`` gives (ESTIMATED).  ``load(path,
 expand=False)`` returns a column file as its ``ColumnBlock``, without
 forming the N x N matrix; a dense file comes back as it is.
+
+Each N x N array is made once.  A ``DistanceMatrix`` copies an input
+array only while a caller can still write it; the producers
+(``ot.w2_matrix``, ``load``, ``sanitized_estimate``,
+``ColumnBlock.matrix``) hand theirs over frozen, and a dense ``load``
+keeps values and mask as views of the bytes it read, as ``save``
+writes each array from its own memory.  The invariant checks and
+``relative_error`` of a column estimate work in row blocks of at most
+``BLOCK_ENTRIES`` entries instead of N x N temporaries.
 """
 
 from __future__ import annotations
@@ -59,10 +68,62 @@ class MatrixKind(enum.Enum):
 CENTER_TOL = 1e-8  # largest column sum/mean accepted as centred
 
 
+BLOCK_ENTRIES = 1 << 16  # entries per row block of a pass over an N x N array
+
+
 def freeze(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it (for frozen dataclass fields)."""
     a.flags.writeable = False
     return a
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype``: ``a`` itself when no caller
+    can write it any more (it and every array it views are read-only,
+    down to memory of their own or a ``bytes`` object), else a frozen
+    copy."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype:
+        base = a
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None or isinstance(base, bytes):
+            return a
+    return freeze(np.array(a, dtype=dtype))
+
+
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges (start, stop) covering an n x n array in blocks of at
+    most ``BLOCK_ENTRIES`` entries (one row at least)."""
+    step = max(1, BLOCK_ENTRIES // max(n, 1))
+    return [(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+# The checks of a DistanceMatrix, in the order they are made: the first
+# one that fails anywhere in the matrix is the error raised.
+_CHECKS = (
+    "observed values must be finite",
+    "values must be exactly symmetric",
+    "mask must be exactly symmetric",
+    "diagonal must be identically zero",
+    "diagonal must be marked observed",
+    "{kind} matrices need an all-true mask",
+    "observed squared distances must be >= 0",
+)
+
+
+def _block_checks(values, mask, kind, start, stop):
+    """Whether rows start:stop pass each of ``_CHECKS``, lazily and in
+    order.  A symmetry check compares the block's rows from column
+    ``start`` on with the matching columns, which covers every pair
+    (i, j), i <= j, once the blocks cover every row."""
+    rows, marks = values[start:stop], mask[start:stop]
+    yield bool(np.all(np.isfinite(rows) | ~marks))
+    yield np.array_equal(values[start:stop, start:], values[start:, start:stop].T)
+    yield np.array_equal(mask[start:stop, start:], mask[start:, start:stop].T)
+    yield not np.any(np.diagonal(rows, start) != 0.0)
+    yield bool(np.all(np.diagonal(marks, start)))
+    yield kind is MatrixKind.PARTIAL or bool(marks.all())
+    yield kind is MatrixKind.ESTIMATED or not np.any((rows < 0) & marks)
 
 
 @dataclass(frozen=True)
@@ -74,29 +135,22 @@ class DistanceMatrix:
     kind: MatrixKind
 
     def __init__(self, values, mask, kind: MatrixKind):
-        values = np.array(values, dtype=np.float64)
-        mask = np.array(mask, dtype=bool)
+        values = _frozen(values, np.float64)
+        mask = _frozen(mask, bool)
         kind = MatrixKind(kind)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise InvariantViolation(f"values must be square, got {values.shape}")
         if mask.shape != values.shape:
             raise InvariantViolation("mask shape differs from values shape")
-        if not np.all(np.isfinite(values[mask])):
-            raise InvariantViolation("observed values must be finite")
-        if not np.array_equal(values, values.T):
-            raise InvariantViolation("values must be exactly symmetric")
-        if not np.array_equal(mask, mask.T):
-            raise InvariantViolation("mask must be exactly symmetric")
-        if np.any(np.diagonal(values) != 0.0):
-            raise InvariantViolation("diagonal must be identically zero")
-        if not np.all(np.diagonal(mask)):
-            raise InvariantViolation("diagonal must be marked observed")
-        if kind in (MatrixKind.FULL, MatrixKind.ESTIMATED) and not mask.all():
-            raise InvariantViolation(f"{kind.name} matrices need an all-true mask")
-        if kind is not MatrixKind.ESTIMATED and np.any(values[mask] < 0):
-            raise InvariantViolation("observed squared distances must be >= 0")
-        object.__setattr__(self, "values", freeze(values))
-        object.__setattr__(self, "mask", freeze(mask))
+        first = len(_CHECKS)
+        for start, stop in row_blocks(values.shape[0]):
+            checks = _block_checks(values, mask, kind, start, stop)
+            first = next((k for k, ok in zip(range(first), checks) if not ok),
+                         first)
+        if first < len(_CHECKS):
+            raise InvariantViolation(_CHECKS[first].format(kind=kind.name))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "kind", kind)
 
     # --- constructors -------------------------------------------------------
@@ -104,7 +158,8 @@ class DistanceMatrix:
     @staticmethod
     def full(values) -> "DistanceMatrix":
         values = np.asarray(values, dtype=np.float64)
-        return DistanceMatrix(values, np.ones(values.shape, bool), MatrixKind.FULL)
+        return DistanceMatrix(values, freeze(np.ones(values.shape, bool)),
+                              MatrixKind.FULL)
 
     @staticmethod
     def partial(values, mask) -> "DistanceMatrix":
@@ -113,7 +168,7 @@ class DistanceMatrix:
     @staticmethod
     def estimated(values) -> "DistanceMatrix":
         values = np.asarray(values, dtype=np.float64)
-        return DistanceMatrix(values, np.ones(values.shape, bool),
+        return DistanceMatrix(values, freeze(np.ones(values.shape, bool)),
                               MatrixKind.ESTIMATED)
 
     # --- views ----------------------------------------------------------------
@@ -129,29 +184,44 @@ class DistanceMatrix:
         return iu[sel], ju[sel]
 
 
+def sanitized_rows(rows: np.ndarray, transposed: np.ndarray,
+                   start: int) -> np.ndarray:
+    """Rows start:start+k of the sanitized estimate of raw values V, made
+    in place in ``rows`` (those rows of V) from the same rows of V^T:
+    averaged, a zero diagonal, clamped at 0.  The one sanitizing rule,
+    for ``sanitized_estimate`` (all rows) and
+    ``ColumnBlock.estimate_rows`` (a row block at a time)."""
+    rows += transposed
+    rows *= 0.5
+    k = rows.shape[0]
+    rows[np.arange(k), np.arange(start, start + k)] = 0.0
+    np.maximum(rows, 0.0, out=rows)
+    return rows
+
+
 def sanitized_estimate(values: np.ndarray) -> DistanceMatrix:
     """ESTIMATED matrix of raw ``values``: symmetrized, zero diagonal, >= 0."""
-    d = 0.5 * (values + values.T)
-    np.fill_diagonal(d, 0.0)
-    np.maximum(d, 0.0, out=d)
-    return DistanceMatrix.estimated(d)
+    return DistanceMatrix.estimated(
+        freeze(sanitized_rows(np.array(values), values.T, 0)))
 
 
 # --- persistence --------------------------------------------------------------
 
 def save(obj, path) -> None:
     """Write a ``DistanceMatrix`` densely and a ``nystrom.ColumnBlock`` as
-    its columns."""
+    its columns, each array straight from its memory to the file."""
     if isinstance(obj, DistanceMatrix):
-        parts = [MAGIC, struct.pack("<Q", obj.size),
-                 np.ascontiguousarray(obj.values, dtype="<f8").tobytes(),
-                 obj.mask.astype(np.uint8).tobytes()]
+        parts = [MAGIC + struct.pack("<Q", obj.size),
+                 np.ascontiguousarray(obj.values, dtype="<f8"),
+                 np.ascontiguousarray(obj.mask).view(np.uint8)]
     else:
         n, c = obj.columns.shape
-        parts = [COLUMNS_MAGIC, struct.pack("<QQ", n, c),
-                 obj.indices.astype("<i8").tobytes(),
-                 np.ascontiguousarray(obj.columns, dtype="<f8").tobytes()]
-    Path(path).write_bytes(b"".join(parts + [bytes([obj.kind.value])]))
+        parts = [COLUMNS_MAGIC + struct.pack("<QQ", n, c),
+                 obj.indices.astype("<i8"),
+                 np.ascontiguousarray(obj.columns, dtype="<f8")]
+    with open(path, "wb") as fh:
+        for part in parts + [bytes([obj.kind.value])]:
+            fh.write(part)
 
 
 def load(path, *, expand: bool = True):
@@ -195,6 +265,9 @@ def load(path, *, expand: bool = True):
         values = np.frombuffer(data, dtype="<f8", count=n * n, offset=head)
         mask = np.frombuffer(data, dtype=np.uint8, count=n * n,
                              offset=head + 8 * n * n)
+        # bytes of 0 and 1 are bools as they stand; any other nonzero
+        # byte reads as True, which takes a copy
+        mask = mask.view(bool) if mask.max(initial=0) <= 1 else freeze(mask != 0)
         return DistanceMatrix(values.reshape(n, n), mask.reshape(n, n), kind)
     except InvariantViolation as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -202,9 +275,11 @@ def load(path, *, expand: bool = True):
 
 # --- evaluation ----------------------------------------------------------------
 
-def relative_error(estimate: DistanceMatrix, truth: DistanceMatrix) -> float:
+def relative_error(estimate, truth: DistanceMatrix) -> float:
     """Frobenius relative error ||D_est - D||_F / ||D||_F of a FULL or
-    ESTIMATED estimate against a FULL truth."""
+    ESTIMATED estimate against a FULL truth.  An ESTIMATED
+    ``nystrom.ColumnBlock`` is compared one row block at a time
+    (``ColumnBlock.estimate_rows``), without forming its N x N matrix."""
     if estimate.size != truth.size:
         raise UsageError(f"estimate is {estimate.size}, truth {truth.size}")
     if estimate.kind is MatrixKind.PARTIAL:
@@ -214,4 +289,10 @@ def relative_error(estimate: DistanceMatrix, truth: DistanceMatrix) -> float:
     denom = float(np.linalg.norm(truth.values))
     if denom == 0.0:
         raise NumericalError("truth matrix has zero Frobenius norm")
-    return float(np.linalg.norm(estimate.values - truth.values) / denom)
+    if isinstance(estimate, DistanceMatrix):
+        return float(np.linalg.norm(estimate.values - truth.values) / denom)
+    total = 0.0
+    for start, stop, rows in estimate.estimate_rows():
+        rows -= truth.values[start:stop]
+        total += float(np.dot(rows.ravel(), rows.ravel()))
+    return float(np.sqrt(total) / denom)

@@ -15,9 +15,10 @@ rows/columns are not re-imposed on it.
 P_r and 1 / lambda_r from the one ``eigh`` of the core taken when the
 block is built.  A PARTIAL block is the computed columns of any column
 plan (FULL once c >= N - 1), an ESTIMATED one the estimate C U^+ C^T;
-``matrixio`` saves and loads either as the ``W2DCOL01`` layout, and
+``matrixio`` saves and loads either as the ``W2DCOL01`` layout,
 ``embedding.spectrum`` embeds an ESTIMATED block directly in O(N c r)
-without forming the N x N product.
+and ``matrixio.relative_error`` compares one with the truth row block by
+row block, neither forming the N x N product.
 
 Also here: the Procrustes alignment distance used to compare
 embeddings.
@@ -25,6 +26,7 @@ embeddings.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ from scipy.optimize import minimize
 
 from .errors import InvariantViolation, NumericalError, UsageError
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
-from .matrixio import freeze, sanitized_estimate
+from .matrixio import freeze, row_blocks, sanitized_estimate, sanitized_rows
 
 PINV_TOLERANCE = 1e-10  # core |eigenvalues| up to this * the largest are cut
 
@@ -90,8 +92,8 @@ class ColumnBlock:
             raise InvariantViolation("core C(I, :) must be exactly symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
-        if kind is MatrixKind.ESTIMATED and not np.any(core) and np.any(columns):
-            raise NumericalError("core block is identically zero")
+        if kind is MatrixKind.ESTIMATED:
+            _check_core(core, columns)
         vectors, inverse, sigma = _truncated_eigh(core, PINV_TOLERANCE)
         object.__setattr__(self, "columns", freeze(columns))
         object.__setattr__(self, "indices", freeze(indices))
@@ -124,11 +126,37 @@ class ColumnBlock:
             raise InvariantViolation("matrix does not observe all requested columns")
         return ColumnBlock(matrix.values[:, indices], indices)
 
+    def estimate(self) -> "ColumnBlock":
+        """This block as the Nystrom estimate C U^+ C^T of its columns (an
+        ESTIMATED block is that already), with the core's factors kept:
+        no second ``eigh``."""
+        if self.kind is MatrixKind.ESTIMATED:
+            return self
+        _check_core(self.core, self.columns)
+        block = copy.copy(self)
+        object.__setattr__(block, "kind", MatrixKind.ESTIMATED)
+        return block
+
     def product(self) -> np.ndarray:
         """Dense N x N product (C P_r L_r^-1)(C P_r)^T = C U^+ C^T,
         unsanitized."""
         factor = self.columns @ self.core_vectors
         return (factor * self.core_inverse_eigenvalues) @ factor.T
+
+    def estimate_rows(self):
+        """The sanitized estimate of :meth:`product`, as ``complete_nystrom``
+        gives it, in (start, stop, rows) blocks over ``matrixio.row_blocks``
+        without forming the N x N product.  With F = C P_r and
+        G = F L_r^-1, rows start:stop of the product are G(start:stop) F^T
+        and those of its transpose F(start:stop) G^T; ``sanitized_rows``
+        sanitizes them as ``sanitized_estimate`` does the whole product,
+        so they match ``complete_nystrom`` to round-off."""
+        factor = self.columns @ self.core_vectors
+        scaled = factor * self.core_inverse_eigenvalues
+        for start, stop in row_blocks(self.size):
+            yield start, stop, sanitized_rows(scaled[start:stop] @ factor.T,
+                                              factor[start:stop] @ scaled.T,
+                                              start)
 
     def matrix(self) -> DistanceMatrix:
         """The matrix this block stands for: the observed rows and
@@ -145,7 +173,14 @@ class ColumnBlock:
         mask[:, idx] = True
         mask[idx, :] = True
         kind = MatrixKind.FULL if mask.all() else MatrixKind.PARTIAL
-        return DistanceMatrix(values, mask, kind)
+        return DistanceMatrix(freeze(values), freeze(mask), kind)
+
+
+def _check_core(core: np.ndarray, columns: np.ndarray) -> None:
+    """An estimate needs a core that is not identically zero (unless the
+    columns are: then the estimate is zero)."""
+    if not np.any(core) and np.any(columns):
+        raise NumericalError("core block is identically zero")
 
 
 def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):

@@ -39,7 +39,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.spatial.distance import cdist
 
 from .errors import SolverFailure, UsageError
-from .matrixio import DistanceMatrix, MatrixKind
+from .matrixio import DistanceMatrix, MatrixKind, freeze
 from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
 
@@ -47,7 +47,11 @@ from .sampling import SamplePlan
 # vertices).  Per pair on one core, d = 2: 1.6 us at m = 4, 5.3 us at 5,
 # 29 us at 6 and 100 us at 7, against ~35 us through linear_sum_assignment.
 _BATCH_MAX_ATOMS = 4
-_BATCH_PAIRS = 32768  # pairs per vectorised block; bounds its temporaries
+# Pairs per vectorised block; bounds its temporaries (about 240 bytes a
+# pair at m = d = 2).  For N = 1000 two-atom measures on one core, 8192
+# against 32768 takes w2_matrix's tracemalloc peak from 16.1 to 10.9 MB
+# (the values and mask are 9 MB) in the same time (0.15 s).
+_BATCH_PAIRS = 8192
 # Nearest atoms per row and per column in the LP's first arc set.  On
 # 60-pixel blob pairs it keeps about 20% of the arcs and needs at most
 # one pricing round.  A side of this many atoms or fewer takes every arc:
@@ -274,31 +278,28 @@ def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cost = np.zeros((x.shape[0], x.shape[1], y.shape[1]))
     for k in range(x.shape[2]):
         gap = x[:, :, None, k] - y[:, None, :, k]
-        cost += gap * gap
+        gap *= gap
+        cost += gap
     return _vertex_minimum(cost)
 
 
-def _solve_batched(data: MeasureDataset, pairs: np.ndarray,
-                   vals: np.ndarray) -> np.ndarray:
-    """Fill ``vals`` for the pairs of uniform measures of one shape (m <=
-    _BATCH_MAX_ATOMS atoms in R^d); returns the mask of the pairs filled."""
-    groups: dict[tuple, list[int]] = {}
+def _batch_groups(data: MeasureDataset):
+    """The measures ``w2_matrix`` batches: uniform measures of m <=
+    _BATCH_MAX_ATOMS atoms, grouped by shape (m, d).  Returns each
+    measure's group (-1: none) and row in its group's stack, and the
+    stacks of the groups' points, (size, m, d) each."""
+    members: dict[tuple, list[int]] = {}
     for k, mu in enumerate(data.measures):
         if mu.num_atoms <= _BATCH_MAX_ATOMS and uniform_weights(mu.weights):
-            groups.setdefault(mu.points.shape, []).append(k)
-    done = np.zeros(pairs.shape[0], bool)
-    for members in groups.values():
-        local = np.full(len(data), -1)
-        local[members] = np.arange(len(members))
-        li, lj = local[pairs[:, 0]], local[pairs[:, 1]]
-        sel = np.flatnonzero((li >= 0) & (lj >= 0))
-        stack = np.stack([data.measures[k].points for k in members])
-        for start in range(0, sel.size, _BATCH_PAIRS):
-            block = sel[start:start + _BATCH_PAIRS]
-            vals[block] = _permutation_minimum(stack[li[block]],
-                                               stack[lj[block]])
-        done[sel] = True
-    return done
+            members.setdefault(mu.points.shape, []).append(k)
+    group = np.full(len(data), -1)
+    local = np.zeros(len(data), np.int64)
+    stacks = []
+    for g, ks in enumerate(members.values()):
+        group[ks] = g
+        local[ks] = np.arange(len(ks))
+        stacks.append(np.stack([data.measures[k].points for k in ks]))
+    return group, local, stacks
 
 
 def _solve_pairs(measures: tuple, pairs: np.ndarray) -> np.ndarray:
@@ -320,10 +321,7 @@ def _pool_solve(pairs: np.ndarray) -> np.ndarray:
     return _solve_pairs(_POOL_DATA, pairs)
 
 
-def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
-    if plan is None:
-        iu, ju = np.triu_indices(n, k=1)
-        return np.column_stack([iu, ju])
+def _required_pairs(n: int, plan: SamplePlan) -> np.ndarray:
     if plan.size != n:
         raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
     if plan.is_entries:
@@ -341,6 +339,29 @@ def _required_pairs(n: int, plan: SamplePlan | None) -> np.ndarray:
     return np.column_stack(np.divmod(keys, n))
 
 
+def _pair_blocks(n: int, plan: SamplePlan | None):
+    """The pairs (i, j), i < j, to compute, in row-major order, as
+    (ii, jj) blocks of at most ``_BATCH_PAIRS`` pairs (a whole row at
+    least): the upper triangle walked in row blocks when ``plan`` is
+    None, else the plan's pairs."""
+    if plan is not None:
+        pairs = _required_pairs(n, plan)
+        for start in range(0, pairs.shape[0], _BATCH_PAIRS):
+            yield pairs[start:start + _BATCH_PAIRS].T
+        return
+    start = 0
+    while start < n - 1:  # row start has the most pairs of its block
+        stop = min(start + max(1, _BATCH_PAIRS // (n - 1 - start)), n - 1)
+        rows, jj = np.nonzero(np.arange(n) > np.arange(start, stop)[:, None])
+        yield rows + start, jj
+        start = stop
+
+
+def _mirror(a: np.ndarray, ii: np.ndarray, jj: np.ndarray, v) -> None:
+    a[ii, jj] = v
+    a[jj, ii] = v
+
+
 def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
               workers: int = 1) -> DistanceMatrix:
     """Squared W2 distance matrix of a dataset.
@@ -348,34 +369,47 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
     ``plan=None`` computes all N(N-1)/2 upper-triangle entries and
     mirrors them.  An entry plan computes exactly its pairs; a column
     plan computes every entry in the sampled columns (and, by symmetry,
-    rows).  Pairs of uniform measures with equal atom count m <= 4 and
-    equal dimension are solved in the calling process by a vectorised
-    permutation minimum.  Only the remaining pairs may be distributed
+    rows).  The pairs are walked in row-major blocks of at most
+    ``_BATCH_PAIRS`` (the upper triangle row block by row block).  Pairs
+    of uniform measures with equal atom count m <= 4 and equal dimension
+    are solved in the calling process by a vectorised permutation
+    minimum and written straight into the N x N values, so a dataset of
+    such measures never lists all its pairs.  Only the remaining pairs,
+    collected in row-major order into one array, may be distributed
     over ``workers`` processes, and a pool starts only when at least
     2 * workers of them are left.  The result does not depend on the
-    worker count.
+    worker count, and its values and mask are handed to the
+    ``DistanceMatrix`` without a copy.
     """
     n = len(data)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    pairs = _required_pairs(n, plan)
-    vals = np.empty(pairs.shape[0])
-    rest = ~_solve_batched(data, pairs, vals)
-    todo = pairs[rest]
+    values = np.zeros((n, n))
+    mask = np.ones((n, n), bool) if plan is None else np.eye(n, dtype=bool)
+    group, local, stacks = _batch_groups(data)
+    rest = [np.empty((0, 2), np.int64)]
+    for ii, jj in _pair_blocks(n, plan):
+        if plan is not None:
+            _mirror(mask, ii, jj, True)
+        gi = group[ii]
+        batched = (gi >= 0) & (gi == group[jj])
+        for g, stack in enumerate(stacks):
+            sel = np.flatnonzero(batched & (gi == g))
+            if sel.size:
+                bi, bj = ii[sel], jj[sel]
+                _mirror(values, bi, bj,
+                        _permutation_minimum(stack[local[bi]], stack[local[bj]]))
+        rest.append(np.column_stack([ii[~batched], jj[~batched]]))
+    todo = np.concatenate(rest)
+    del rest  # one list of the remaining pairs lives through the solve
     if workers == 1 or todo.shape[0] < 2 * workers:
-        vals[rest] = _solve_pairs(data.measures, todo)
+        vals = _solve_pairs(data.measures, todo)
     else:
         chunks = np.array_split(todo, workers * 4)
         chunks = [c for c in chunks if c.shape[0]]
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(data.measures,)) as pool:
-            vals[rest] = np.concatenate(list(pool.map(_pool_solve, chunks)))
-    values = np.zeros((n, n))
-    mask = np.eye(n, dtype=bool)
-    ii, jj = pairs[:, 0], pairs[:, 1]
-    values[ii, jj] = vals
-    values[jj, ii] = vals
-    mask[ii, jj] = True
-    mask[jj, ii] = True
+            vals = np.concatenate(list(pool.map(_pool_solve, chunks)))
+    _mirror(values, todo[:, 0], todo[:, 1], vals)
     kind = MatrixKind.FULL if mask.all() else MatrixKind.PARTIAL
-    return DistanceMatrix(values, mask, kind)
+    return DistanceMatrix(freeze(values), freeze(mask), kind)

@@ -185,6 +185,30 @@ class TestComplete:
         assert report["core_condition"] == pytest.approx(
             sigma[0] / sigma[3], rel=1e-12, abs=0.0)
 
+    def test_nystrom_decomposes_the_core_once(self, pipeline_dirs, capsys,
+                                              monkeypatch):
+        tmp_path, data_dir = pipeline_dirs
+        run("dist", "--data", data_dir, "--columns", 8, "--seed", 5,
+            "--out", tmp_path / "cols")
+        shapes, eigh = [], np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        # a PARTIAL column file, then the ESTIMATED one it gives
+        for source, out in (("cols", "est"), ("est", "again")):
+            shapes.clear()
+            assert run("complete", "--algorithm", "nystrom",
+                       "--input", tmp_path / f"{source}.w2m",
+                       "--out", tmp_path / out) == 0
+            assert shapes == [(8, 8)]
+        assert ((tmp_path / "est.w2m").read_bytes()
+                == (tmp_path / "again.w2m").read_bytes())
+        assert ((tmp_path / "est.report.json").read_text()
+                == (tmp_path / "again.report.json").read_text())
+
     def test_nystrom_all_zero_input_has_no_condition(self, tmp_path, capsys):
         # an all-zero PARTIAL column file of N = 3, written byte by byte
         (tmp_path / "z.w2m").write_bytes(
@@ -870,7 +894,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
     def test_error_class_exit_code(self, tmp_path, capsys, monkeypatch, cls):
-        def fail(_path):
+        def fail(_path, **_kwargs):
             raise cls("injected")
 
         monkeypatch.setattr(cli.matrixio, "load", fail)
@@ -1157,6 +1181,20 @@ class TestDocumentedCommands:
     @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
     def test_parses(self, argv):
         assert cli._parse_args(argv).command == argv[0]
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        parser = cli._parsers()
+
+        def rebuild():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "make_parser", rebuild)
+        for rate in (0.1, 0.5):
+            assert run("budget", "--n", 100, "--rate", rate) == 0
+        assert cli._parsers() is parser
+        assert run("budget", "--n", 100) == 1  # a usage error leaves it whole
+        assert run("budget", "--n", 2000, "--rate", 0.1) == 0
+        assert capsys.readouterr().out.split()[-1] == "103"
 
 
 class TestDocumentedLibrary:

@@ -1,16 +1,19 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wassmatrix import ColumnBlock, DistanceMatrix, MatrixKind, relative_error
+from wassmatrix import cli, matrixio
 from wassmatrix.errors import (
     FormatError,
     InvariantViolation,
     NumericalError,
     UsageError,
 )
-from wassmatrix.matrixio import load, sanitized_estimate, save
+from wassmatrix.matrixio import BLOCK_ENTRIES, load, row_blocks
+from wassmatrix.matrixio import sanitized_estimate, save
 
 
 def random_full(rng, n):
@@ -85,6 +88,176 @@ class TestInvariants:
         assert part.mask[ii, jj].all()
         expected = part.mask[np.triu_indices(6, 1)].sum()
         assert ii.size == expected
+
+
+def root_buffer(a):
+    """The object at the end of ``a``'s chain of bases."""
+    while isinstance(a, np.ndarray) and a.base is not None:
+        a = a.base
+    return a
+
+
+def record_inputs(monkeypatch) -> list:
+    """The (values, mask) every DistanceMatrix is built from, from now on."""
+    built, init = [], DistanceMatrix.__init__
+
+    def recording(self, values, mask, kind):
+        built.append((values, mask))
+        init(self, values, mask, kind)
+
+    monkeypatch.setattr(DistanceMatrix, "__init__", recording)
+    return built
+
+
+class TestOwnership:
+    """A DistanceMatrix copies what its caller can still write and takes
+    what a producer hands over frozen."""
+
+    def test_writable_input_is_copied(self):
+        vals = np.array([[0.0, 2.0], [2.0, 0.0]])
+        mask = np.ones((2, 2), bool)
+        for m in (DistanceMatrix(vals, mask, MatrixKind.FULL),
+                  DistanceMatrix.full(vals)):
+            assert not np.shares_memory(m.values, vals)
+            vals[0, 1] = vals[1, 0] = 5.0
+            mask[0, 1] = False
+            assert m.values[0, 1] == 2.0 and m.mask.all()
+            vals[0, 1] = vals[1, 0] = 2.0
+            mask[0, 1] = True
+
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        vals = np.array([[0.0, 2.0], [2.0, 0.0]])
+        view = vals[:]
+        view.flags.writeable = False
+        m = DistanceMatrix.full(view)
+        vals[0, 1] = vals[1, 0] = 5.0
+        assert m.values[0, 1] == 2.0
+
+    def test_frozen_input_is_taken(self):
+        vals = matrixio.freeze(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        mask = matrixio.freeze(np.ones((2, 2), bool))
+        m = DistanceMatrix(vals, mask, MatrixKind.FULL)
+        assert m.values is vals and m.mask is mask
+        again = DistanceMatrix(m.values, m.mask, MatrixKind.ESTIMATED)
+        assert again.values is vals and again.mask is mask
+
+    def test_load_keeps_views_of_the_file(self, tmp_path, monkeypatch):
+        m = random_partial(np.random.default_rng(20), 7)
+        save(m, tmp_path / "m.w2m")
+        built = record_inputs(monkeypatch)
+        back = load(tmp_path / "m.w2m")
+        assert back.values is built[0][0] and back.mask is built[0][1]
+        assert isinstance(root_buffer(back.values), bytes)
+        assert root_buffer(back.values) is root_buffer(back.mask)
+        assert back.mask.tobytes() == m.mask.tobytes()
+
+    def test_load_reads_other_nonzero_mask_bytes_as_true(self, tmp_path):
+        m = DistanceMatrix.full(np.zeros((2, 2)))
+        save(m, tmp_path / "m.w2m")
+        blob = bytearray((tmp_path / "m.w2m").read_bytes())
+        blob[16 + 8 * 4] = 2  # mask entry (0, 0)
+        (tmp_path / "m.w2m").write_bytes(bytes(blob))
+        back = load(tmp_path / "m.w2m")
+        assert back.mask.tobytes() == m.mask.tobytes()
+        assert not back.mask.flags.writeable
+
+    def test_sanitized_estimate_is_not_copied(self, monkeypatch):
+        built = record_inputs(monkeypatch)
+        est = sanitized_estimate(np.ones((3, 3)))
+        assert est.values is built[0][0] and est.mask is built[0][1]
+
+
+# N = 300 takes two row blocks; rows 298 and 299 are in the last one
+BIG = 300
+
+
+def big_matrix(kind=MatrixKind.FULL):
+    rng = np.random.default_rng(21)
+    a = rng.random((BIG, BIG)) + 0.5
+    vals = a + a.T
+    np.fill_diagonal(vals, 0.0)
+    return vals, np.ones((BIG, BIG), bool)
+
+
+def put(a, i, j, v):
+    a[i, j] = a[j, i] = v
+
+
+class TestRowBlockChecks:
+    """The checks run over row blocks of about BLOCK_ENTRIES entries, and
+    still find a fault anywhere, in the order they are listed."""
+
+    def test_blocks_cover_the_rows(self):
+        blocks = row_blocks(BIG)
+        assert len(blocks) == 2
+        assert blocks[0][0] == 0 and blocks[-1][1] == BIG
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all((stop - start) * BIG <= BLOCK_ENTRIES
+                   for start, stop in blocks)
+        assert blocks[-1][0] <= 298
+        assert row_blocks(0) == [] and row_blocks(1) == [(0, 1)]
+        assert row_blocks(100_000) == [(k, k + 1) for k in range(100_000)]
+
+    @pytest.mark.parametrize("fault, kind, message", [
+        ("nan", MatrixKind.PARTIAL, "observed values must be finite"),
+        ("asymmetric", MatrixKind.FULL, "values must be exactly symmetric"),
+        ("mask-asymmetric", MatrixKind.PARTIAL, "mask must be exactly symmetric"),
+        ("diagonal", MatrixKind.FULL, "diagonal must be identically zero"),
+        ("diagonal-mask", MatrixKind.PARTIAL, "diagonal must be marked observed"),
+        ("unobserved", MatrixKind.FULL, "FULL matrices need an all-true mask"),
+        ("unobserved", MatrixKind.ESTIMATED,
+         "ESTIMATED matrices need an all-true mask"),
+        ("negative", MatrixKind.PARTIAL, "observed squared distances must be >= 0"),
+    ])
+    def test_fault_in_last_block(self, fault, kind, message):
+        vals, mask = big_matrix()
+        DistanceMatrix(vals, mask, kind)
+        if fault == "nan":
+            put(vals, 299, 298, np.nan)
+        elif fault == "asymmetric":
+            vals[299, 298] += 1.0
+        elif fault == "mask-asymmetric":
+            mask[299, 298] = False
+        elif fault == "diagonal":
+            vals[299, 299] = 1.0
+        elif fault == "diagonal-mask":
+            mask[299, 299] = False
+        elif fault == "unobserved":
+            put(mask, 299, 298, False)
+        else:
+            put(vals, 299, 298, -1.0)
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DistanceMatrix(vals, mask, kind)
+
+    @pytest.mark.parametrize("early, late, message", [
+        ("negative", "nan", "observed values must be finite"),
+        ("asymmetric", "nan", "observed values must be finite"),
+        ("diagonal", "asymmetric", "values must be exactly symmetric"),
+        ("nan", "negative", "observed values must be finite"),
+        ("diagonal", "negative", "diagonal must be identically zero"),
+    ])
+    def test_first_listed_check_wins_across_blocks(self, early, late, message):
+        vals, mask = big_matrix()
+        for fault, (i, j) in ((early, (1, 0)), (late, (299, 298))):
+            if fault == "nan":
+                put(vals, i, j, np.nan)
+            elif fault == "negative":
+                put(vals, i, j, -1.0)
+            elif fault == "asymmetric":
+                vals[i, j] += 1.0
+            else:
+                vals[i, i] = 1.0
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            DistanceMatrix(vals, mask, MatrixKind.PARTIAL)
+
+    def test_unobserved_entries_are_not_checked(self):
+        vals, mask = big_matrix()
+        put(mask, 299, 298, False)
+        put(vals, 299, 298, -np.inf)
+        put(mask, 1, 0, False)
+        put(vals, 1, 0, -1.0)
+        assert DistanceMatrix(vals, mask, MatrixKind.PARTIAL).kind is (
+            MatrixKind.PARTIAL)
 
 
 class TestSanitizedEstimate:
@@ -372,3 +545,93 @@ class TestRelativeError:
         with pytest.raises(NumericalError,
                            match=r"truth matrix has zero Frobenius norm"):
             relative_error(est, truth)
+
+
+class TestBlockwiseError:
+    """An ESTIMATED column block is compared with the truth one row block
+    at a time; the value matches the dense route to round-off."""
+
+    @pytest.mark.parametrize("n, c", [(9, 3), (BIG, 6), (BIG, 40)])
+    def test_matches_dense_estimate(self, n, c):
+        rng = np.random.default_rng(n + c)
+        truth = random_full(rng, n)
+        block = ColumnBlock.from_matrix(truth, np.sort(rng.choice(n, c, False)))
+        dense = block.matrix()
+        rows = np.vstack([r for _, _, r in block.estimate_rows()])
+        np.testing.assert_allclose(rows, dense.values, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dense.values).max())
+        assert np.diagonal(rows).tolist() == [0.0] * n and rows.min() >= 0.0
+        assert relative_error(block, truth) == pytest.approx(
+            relative_error(dense, truth), rel=1e-12)
+
+    def test_clamp_and_symmetrization_match_dense_route(self):
+        # Mixed-sign columns give a raw product with negative entries
+        # that is not exactly symmetric in floating point.
+        rng = np.random.default_rng(23)
+        n, idx = BIG, np.array([4, 90, 170, 250, 299])
+        columns = rng.normal(size=(n, idx.size))
+        core = rng.normal(size=(idx.size, idx.size))
+        core = core + core.T
+        np.fill_diagonal(core, 0.0)
+        columns[idx] = core
+        block = ColumnBlock(columns, idx)
+        raw = block.product()
+        assert raw.min() < 0.0 and np.any(raw != raw.T)
+        dense = sanitized_estimate(raw).values
+        rows = np.vstack([r for _, _, r in block.estimate_rows()])
+        scale = np.abs(raw).max()
+        np.testing.assert_allclose(rows, dense, rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(rows == 0.0, dense == 0.0)
+
+    def test_partial_block_rejected(self):
+        truth = random_full(np.random.default_rng(22), 5)
+        block = ColumnBlock.from_matrix(truth, [1, 3])
+        partial = ColumnBlock(block.columns, block.indices, MatrixKind.PARTIAL)
+        with pytest.raises(UsageError, match="must not be of kind PARTIAL"):
+            relative_error(partial, truth)
+
+
+def two_atom_measures(n):
+    from wassmatrix.measures import MeasureDataset, two_atom_base
+    base = two_atom_base()
+    shifts = np.random.default_rng(n).normal(size=(n, 2))
+    return MeasureDataset([type(base)(base.points + s, base.weights)
+                           for s in shifts])
+
+
+class TestPeakMemory:
+    """tracemalloc peaks: no second N x N array in assembly, and none at
+    all in ``eval`` of a column estimate."""
+
+    def test_w2_matrix_builds_values_and_mask_once(self):
+        from wassmatrix.ot import w2_matrix
+        data = two_atom_measures(800)
+        tracemalloc.start()
+        try:
+            m = w2_matrix(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.kind is MatrixKind.FULL
+        assert peak < 1.5 * (m.values.nbytes + m.mask.nbytes)
+
+    def test_eval_of_column_estimate_stays_near_the_truth_file(self, tmp_path,
+                                                                 capsys):
+        from wassmatrix.ot import w2_matrix
+        from wassmatrix.sampling import sample_columns
+        n = 600
+        data = two_atom_measures(n)
+        save(w2_matrix(data), tmp_path / "full.w2m")
+        plan = sample_columns(n, 8, seed=3)
+        save(ColumnBlock(w2_matrix(data, plan).values[:, plan.indices],
+                         plan.indices), tmp_path / "est.w2m")
+        tracemalloc.start()
+        try:
+            assert cli.main(["eval", "--estimate", str(tmp_path / "est.w2m"),
+                             "--truth", str(tmp_path / "full.w2m")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert float(capsys.readouterr().out) < 1e-12
+        file_bytes = (tmp_path / "full.w2m").stat().st_size
+        assert peak < file_bytes + 4 * 8 * BLOCK_ENTRIES

@@ -48,6 +48,24 @@ class TestColumnBlock:
         with pytest.raises(InvariantViolation):
             ColumnBlock(np.ones((3, 1)), [0])
 
+    def test_estimate_relabels_and_keeps_factors(self):
+        vals = edm_of(np.random.default_rng(30).normal(size=(9, 2)))
+        partial = ColumnBlock(vals[:, [1, 4, 7]], [1, 4, 7], MatrixKind.PARTIAL)
+        est = partial.estimate()
+        assert partial.kind is MatrixKind.PARTIAL
+        assert est.kind is MatrixKind.ESTIMATED and est.estimate() is est
+        for name in ("columns", "indices", "core", "core_vectors",
+                     "core_inverse_eigenvalues", "core_singular_values"):
+            assert getattr(est, name) is getattr(partial, name)
+        again = ColumnBlock(partial.columns, partial.indices)
+        assert est.matrix().values.tobytes() == again.matrix().values.tobytes()
+
+    def test_estimate_of_zero_core_fails(self):
+        partial = ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0],
+                              MatrixKind.PARTIAL)
+        with pytest.raises(NumericalError, match=r"core block is identically zero"):
+            partial.estimate()
+
 
 def truncated_pinv(matrix):
     """U^+ from the kept eigenpairs of :func:`_truncated_eigh`."""

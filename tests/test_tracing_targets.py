@@ -6,6 +6,8 @@ too, not only a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from wassmatrix import classify, cli, matrixio, measures
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -51,3 +53,22 @@ def test_wrapped_load_passes_keywords(tmp_path):
     assert back.values.tobytes() == matrix.values.tobytes()
     assert [s["name"] for s in recorder.spans] == ["matrixio.save", "matrixio.load"]
     assert recorder.spans[0]["attrs"]["bytes"] == (tmp_path / "m.w2m").stat().st_size
+
+
+@pytest.mark.parametrize("mode", [["--full"], ["--columns", "3"]])
+def test_dist_records_assembly_and_save(tmp_path, capsys, mode):
+    # column assembly goes through cli.w2_matrix, so a traced pass sees it
+    assert cli.main(["synth", "--spec", "classes3:rand12",
+                     "--out", str(tmp_path / "data")]) == 0
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    uninstall = tracing.install(recorder)
+    try:
+        assert cli.main(["dist", "--data", str(tmp_path / "data"), *mode,
+                         "--out", str(tmp_path / "d")]) == 0
+    finally:
+        uninstall()
+    names = [s["name"] for s in recorder.spans]
+    assert names.count("ot.w2_matrix") == 1
+    assert names.count("matrixio.save") == 1
+    assert tracing.nesting_errors(recorder.spans) == []
