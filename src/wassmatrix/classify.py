@@ -14,13 +14,13 @@ are extracted from it; since every entry is a
 deterministic function of two measures this is numerically identical to
 recomputing each sampled column from scratch.
 
-Trials embed the Nystrom column block directly, in O(N c r) per trial
-for a core of effective rank r: a thin QR of the centred N x r block
-C P_r and one r x r eigenproblem give the spectrum of B, and no N x N
-matrix is built.  The factored route embeds
-the raw product C U^+ C^T, the paper's estimator, not the sanitised
-matrix that ``complete_nystrom`` returns; the two agree to round-off
-whenever rank(U) = rank(D).
+Each trial completes its column block with ``complete_nystrom`` and
+embeds the ESTIMATED block directly, in O(N c r) for a core of
+effective rank r: a thin QR of the centred N x r block C P_r and one
+r x r eigenproblem give the spectrum of B, and no N x N matrix is
+built.  The factored route embeds the raw product C U^+ C^T, the
+paper's estimator, not the sanitised matrix the block's ``matrix()``
+gives; the two agree to round-off whenever rank(U) = rank(D).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from .embedding import choose_dimension, mds, spectrum
 from .errors import InvariantViolation, UsageError
 from .matrixio import DistanceMatrix, MatrixKind, freeze
 from .measures import MeasureDataset
-from .nystrom import ColumnBlock
-from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
+from .nystrom import ColumnBlock, complete_nystrom
 from .ot import w2_matrix
 from .sampling import sample_columns
 from .seeding import derive_seed
@@ -180,8 +179,7 @@ def run_trial(full: DistanceMatrix, labels: np.ndarray, c: int,
     """One column-sampled pipeline pass; returns per-classifier accuracy."""
     n = full.size
     plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
-    block = ColumnBlock.from_matrix(full, plan.indices)
-    spec = spectrum(block)
+    spec = spectrum(complete_nystrom(ColumnBlock.from_matrix(full, plan.indices)))
     if cfg.fixed_dimension is not None:
         dim = min(max(cfg.fixed_dimension, 1), n - 1)
     else:

@@ -19,10 +19,10 @@ suffixes to the ``--out`` base.
 ``dist --columns`` writes the sampled columns C = D(:, I) and I, not
 the N x N matrix, for every column count; ``complete --algorithm
 nystrom`` takes only such a column file and writes its estimate
-C U^+ C^T as the same C and I (an estimate given as input comes back
-unchanged); ``embed`` of that estimate embeds the raw product from the
-block in O(N c r), r the core's effective rank, as ``classify`` does;
-MC output stays dense.  ``eval`` compares a Nystrom estimate with the
+C U^+ C^T (``complete_nystrom``) as the same C and I (an estimate given
+as input comes back unchanged); ``embed`` of that estimate embeds the
+raw product from the block in O(N c r), r the core's effective rank, as
+``classify`` does; MC output stays dense.  ``eval`` compares a Nystrom estimate with the
 truth one row block at a time, without forming it; every other
 ``.w2m`` reads back as its N x N matrix (``eval``, ``classify
 --matrix``, MC input); ``classify --matrix`` reads only the labels of
@@ -71,8 +71,7 @@ from .measures import (
     save_dataset,
     synthetic_dataset,
 )
-from .nystrom import PINV_TOLERANCE, ColumnBlock
-from .nystrom import complete_nystrom  # noqa: F401  (bench/tracing.py wraps it here)
+from .nystrom import PINV_TOLERANCE, ColumnBlock, complete_nystrom
 from .ot import w2_matrix
 from .sampling import budget_to_columns, sample_columns, sample_entries
 from .seeding import derive_seed
@@ -187,8 +186,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     matrix = w2_matrix(data, plan, resolved_workers(args.workers))
     w2m = _out_path(args.out, ".w2m")
     if args.columns is not None:
-        matrixio.save(ColumnBlock(matrix.values[:, plan.indices], plan.indices,
-                                  MatrixKind.PARTIAL), w2m)
+        matrixio.save(ColumnBlock.from_matrix(matrix, plan.indices), w2m)
     else:
         matrixio.save(matrix, w2m)
     observed = (n * (n - 1) // 2 if plan is None
@@ -237,7 +235,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
         _require(isinstance(stored, ColumnBlock),
                  "nystrom needs a column file (dist --columns)")
         # an ESTIMATED file's own columns reproduce it
-        estimate = stored.estimate()
+        estimate = complete_nystrom(stored)
         rank, sigma = estimate.effective_rank, estimate.core_singular_values
         report_obj = {
             "columns": estimate.count,

@@ -29,8 +29,8 @@ Columns (a ``nystrom.ColumnBlock``)::
 ``load`` returns a ``DistanceMatrix`` for either layout: a column file
 expands to what its block's ``matrix()`` gives, the values and mask of
 the column plan (PARTIAL, or FULL when c >= N - 1 columns cover every
-entry) or the sanitized product
-``nystrom.complete_nystrom`` gives (ESTIMATED).  ``load(path,
+entry) or the sanitized estimate ``ColumnBlock.estimate_rows`` gives
+(ESTIMATED), as ``relative_error`` compares it.  ``load(path,
 expand=False)`` returns a column file as its ``ColumnBlock``, without
 forming the N x N matrix; a dense file comes back as it is.
 
@@ -279,7 +279,10 @@ def relative_error(estimate, truth: DistanceMatrix) -> float:
     """Frobenius relative error ||D_est - D||_F / ||D||_F of a FULL or
     ESTIMATED estimate against a FULL truth.  An ESTIMATED
     ``nystrom.ColumnBlock`` is compared one row block at a time
-    (``ColumnBlock.estimate_rows``), without forming its N x N matrix."""
+    (``ColumnBlock.estimate_rows``), without forming its N x N matrix;
+    its ``matrix()`` mirrors those rows' upper triangle, so the error of
+    the block and of that matrix agree only to round-off once N spans
+    more than one row block."""
     if estimate.size != truth.size:
         raise UsageError(f"estimate is {estimate.size}, truth {truth.size}")
     if estimate.kind is MatrixKind.PARTIAL:

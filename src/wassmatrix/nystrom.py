@@ -6,19 +6,19 @@ with U^+ the pseudoinverse truncated at ``PINV_TOLERANCE`` times the
 core's largest singular value.  U is symmetric, so one ``eigh`` gives
 U^+ = P_r L_r^-1 P_r^T from its r kept eigenpairs (|lambda| above the
 cut), and the estimate is (C P_r L_r^-1)(C P_r)^T.  When rank(U)
-equals rank(D) the product reproduces D exactly; the estimate is
-sanitized afterwards (zero diagonal, symmetrization, negative clamp) so
-it satisfies the distance-matrix invariants.  The product is the estimate: sampled
-rows/columns are not re-imposed on it.
+equals rank(D) the product reproduces D exactly.  The product is the
+estimate: sampled rows/columns are not re-imposed on it.
 
 :class:`ColumnBlock` is the one column type: C and I, checked once, with
 P_r and 1 / lambda_r from the one ``eigh`` of the core taken when the
 block is built.  A PARTIAL block is the computed columns of any column
-plan (FULL once c >= N - 1), an ESTIMATED one the estimate C U^+ C^T;
-``matrixio`` saves and loads either as the ``W2DCOL01`` layout,
-``embedding.spectrum`` embeds an ESTIMATED block directly in O(N c r)
-and ``matrixio.relative_error`` compares one with the truth row block by
-row block, neither forming the N x N product.
+plan (FULL once c >= N - 1), an ESTIMATED one the estimate C U^+ C^T
+that :func:`complete_nystrom` makes of it, factors kept.  ``matrixio``
+saves and loads either as the ``W2DCOL01`` layout, and
+``embedding.spectrum`` embeds an ESTIMATED block in O(N c r).  Every
+entry of the estimate comes from :meth:`ColumnBlock.estimate_rows`,
+sanitized (zero diagonal, symmetrization, negative clamp) a row block at
+a time, for :meth:`ColumnBlock.matrix` and ``matrixio.relative_error``.
 
 Also here: the Procrustes alignment distance used to compare
 embeddings.
@@ -35,7 +35,7 @@ from scipy.optimize import minimize
 
 from .errors import InvariantViolation, NumericalError, UsageError
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
-from .matrixio import freeze, row_blocks, sanitized_estimate, sanitized_rows
+from .matrixio import freeze, row_blocks, sanitized_rows
 
 PINV_TOLERANCE = 1e-10  # core |eigenvalues| up to this * the largest are cut
 
@@ -49,7 +49,9 @@ class ColumnBlock:
     which matrix the block stands for (see :meth:`matrix`): PARTIAL, the
     matrix that observes exactly its rows and columns, with entries
     >= 0 (FULL once c >= N - 1 columns cover every entry); or
-    ESTIMATED, the Nystrom estimate C U^+ C^T.
+    ESTIMATED, the Nystrom estimate C U^+ C^T, which
+    :func:`complete_nystrom` makes of a PARTIAL block and ``matrixio``
+    reads back from its file.  The kind has no default.
 
     The one symmetric eigendecomposition of the core is taken when the
     block is built and truncated at ``PINV_TOLERANCE``:
@@ -69,7 +71,7 @@ class ColumnBlock:
     core_singular_values: np.ndarray
     effective_rank: int
 
-    def __init__(self, columns, indices, kind: MatrixKind = MatrixKind.ESTIMATED):
+    def __init__(self, columns, indices, kind: MatrixKind):
         columns = np.array(columns, dtype=np.float64)
         indices = np.array(indices, dtype=np.int64)
         kind = MatrixKind(kind)
@@ -114,43 +116,22 @@ class ColumnBlock:
 
     @staticmethod
     def from_matrix(matrix: DistanceMatrix, indices) -> "ColumnBlock":
-        """Extract sampled columns from a matrix that observes them.
-
-        Works on FULL matrices and on PARTIAL matrices whose mask covers
-        the requested columns.
-        """
+        """The PARTIAL block of the sampled columns of a matrix that
+        observes them: a FULL matrix, or a PARTIAL one whose mask covers
+        the requested columns."""
         indices = np.asarray(indices, dtype=np.int64).ravel()
         if np.any(indices < 0) or np.any(indices >= matrix.size):
             raise InvariantViolation("column indices out of range")
         if matrix.kind is MatrixKind.PARTIAL and not matrix.mask[:, indices].all():
             raise InvariantViolation("matrix does not observe all requested columns")
-        return ColumnBlock(matrix.values[:, indices], indices)
-
-    def estimate(self) -> "ColumnBlock":
-        """This block as the Nystrom estimate C U^+ C^T of its columns (an
-        ESTIMATED block is that already), with the core's factors kept:
-        no second ``eigh``."""
-        if self.kind is MatrixKind.ESTIMATED:
-            return self
-        _check_core(self.core, self.columns)
-        block = copy.copy(self)
-        object.__setattr__(block, "kind", MatrixKind.ESTIMATED)
-        return block
-
-    def product(self) -> np.ndarray:
-        """Dense N x N product (C P_r L_r^-1)(C P_r)^T = C U^+ C^T,
-        unsanitized."""
-        factor = self.columns @ self.core_vectors
-        return (factor * self.core_inverse_eigenvalues) @ factor.T
+        return ColumnBlock(matrix.values[:, indices], indices, MatrixKind.PARTIAL)
 
     def estimate_rows(self):
-        """The sanitized estimate of :meth:`product`, as ``complete_nystrom``
-        gives it, in (start, stop, rows) blocks over ``matrixio.row_blocks``
-        without forming the N x N product.  With F = C P_r and
-        G = F L_r^-1, rows start:stop of the product are G(start:stop) F^T
-        and those of its transpose F(start:stop) G^T; ``sanitized_rows``
-        sanitizes them as ``sanitized_estimate`` does the whole product,
-        so they match ``complete_nystrom`` to round-off."""
+        """The sanitized Nystrom estimate C U^+ C^T in (start, stop, rows)
+        blocks over ``matrixio.row_blocks``, never forming the N x N
+        product.  With F = C P_r and G = F L_r^-1, rows start:stop of the
+        product are G(start:stop) F^T and those of its transpose
+        F(start:stop) G^T; ``sanitized_rows`` sanitizes them."""
         factor = self.columns @ self.core_vectors
         scaled = factor * self.core_inverse_eigenvalues
         for start, stop in row_blocks(self.size):
@@ -162,9 +143,19 @@ class ColumnBlock:
         """The matrix this block stands for: the observed rows and
         columns of a PARTIAL block, zero elsewhere (FULL when they cover
         every entry, as ``ot.w2_matrix`` marks it), or the sanitized
-        Nystrom estimate of an ESTIMATED one."""
+        Nystrom estimate of an ESTIMATED one from :meth:`estimate_rows`,
+        its upper triangle mirrored: BLAS may round (i, j) of one row
+        block apart from (j, i) of another.  ``relative_error`` sums the
+        rows as they stand, so once N spans more than one row block its
+        value for the block and for this matrix agree only to
+        round-off."""
         if self.kind is MatrixKind.ESTIMATED:
-            return complete_nystrom(self)
+            values = np.empty((self.size, self.size))
+            for start, stop, rows in self.estimate_rows():
+                values[start:stop] = np.triu(rows, start)
+                values[start:stop, :start] = values[:start, start:stop].T
+                values[start:stop, start:stop] += values[start:stop, start:stop].T
+            return DistanceMatrix.estimated(freeze(values))
         n, idx = self.size, self.indices
         values = np.zeros((n, n))
         values[:, idx] = self.columns
@@ -193,9 +184,17 @@ def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):
     return vectors[:, keep], 1.0 / lam[keep], np.sort(magnitude)[::-1]
 
 
-def complete_nystrom(block: ColumnBlock) -> DistanceMatrix:
-    """Sanitized Nystrom estimate C U^+ C^T from a column block."""
-    return sanitized_estimate(block.product())
+def complete_nystrom(block: ColumnBlock) -> ColumnBlock:
+    """The Nystrom estimate C U^+ C^T of a block's columns, as the
+    ESTIMATED block of the same C and I with the core's factors kept (no
+    second ``eigh``); an ESTIMATED block is that already.  Its
+    :meth:`ColumnBlock.matrix` is the dense sanitized estimate."""
+    if block.kind is MatrixKind.ESTIMATED:
+        return block
+    _check_core(block.core, block.columns)
+    estimate = copy.copy(block)
+    object.__setattr__(estimate, "kind", MatrixKind.ESTIMATED)
+    return estimate
 
 
 def procrustes_distance(Z: np.ndarray, Y: np.ndarray) -> float:

@@ -222,7 +222,7 @@ def dense_trial(full, labels, c, trial_seed, cfg):
     estimate, decomposed by choose_dimension and again by mds."""
     n = full.size
     plan = sample_columns(n, c, derive_seed(trial_seed, "columns"))
-    d_est = complete_nystrom(ColumnBlock.from_matrix(full, plan.indices))
+    d_est = complete_nystrom(ColumnBlock.from_matrix(full, plan.indices)).matrix()
     emb = mds(d_est, min(choose_dimension(d_est, cfg.energy), n - 1))
     split = split_train_test(n, cfg.test_fraction, derive_seed(trial_seed, "split"))
     return {name: float(np.mean(

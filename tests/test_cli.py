@@ -25,7 +25,7 @@ from wassmatrix import (
 import wassmatrix
 from wassmatrix import cli, matrixio, mc, measures, nystrom
 from wassmatrix.cli import main
-from wassmatrix.embedding import load_embedding_coords
+from wassmatrix.embedding import load_embedding_coords, save_embedding
 from wassmatrix.matrixio import DistanceMatrix, MatrixKind, load, save
 from wassmatrix.sampling import load_plan
 
@@ -608,19 +608,20 @@ def column_bytes(columns, indices, kind):
 
 
 def nystrom_fixture(name):
-    """The column block of a criterion-03 trial (the EDM of 200 points in
-    R^3, 20 columns) or of criterion 07's classes3:rand300 at 20%."""
+    """The Nystrom estimate of a criterion-03 trial (the EDM of 200 points
+    in R^3, 20 columns) or of criterion 07's classes3:rand300 at 20%."""
     if name == "criterion07":
         data = synthetic_dataset("classes3:rand300", 7)
         plan = sample_columns(300, 60, seed=derive_seed(42, "columns"))
-        return ColumnBlock.from_matrix(w2_matrix(data, plan), plan.indices)
+        return complete_nystrom(
+            ColumnBlock.from_matrix(w2_matrix(data, plan), plan.indices))
     trial = int(name.rsplit("-", 1)[1])
     rng = np.random.default_rng(3000 + trial)
     pts = rng.standard_normal((200, 3))
     diff = pts[:, None, :] - pts[None, :, :]
     full = DistanceMatrix.full((diff * diff).sum(axis=-1))
     plan = sample_columns(200, 20, seed=derive_seed(3, "cols", trial))
-    return ColumnBlock.from_matrix(full, plan.indices)
+    return complete_nystrom(ColumnBlock.from_matrix(full, plan.indices))
 
 
 class TestColumnFiles:
@@ -646,7 +647,8 @@ class TestColumnFiles:
         est = load(tmp_path / "est.w2m", expand=False)
         assert isinstance(est, ColumnBlock) and est.kind is MatrixKind.ESTIMATED
         assert est.columns.tobytes() == cols.columns.tobytes()
-        dense = complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices))
+        dense = complete_nystrom(
+            ColumnBlock.from_matrix(partial, plan.indices)).matrix()
         for path, expect in (("cols.w2m", partial), ("est.w2m", dense)):
             got = load(tmp_path / path)
             assert got.kind is expect.kind
@@ -655,7 +657,7 @@ class TestColumnFiles:
 
     def test_eval_prints_the_float_of_the_dense_file(self, run_dir, capsys):
         tmp_path, partial, plan = run_dir
-        save(complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices)),
+        save(complete_nystrom(ColumnBlock.from_matrix(partial, plan.indices)).matrix(),
              tmp_path / "dense.w2m")
         printed = []
         for name in ("est.w2m", "dense.w2m"):
@@ -716,7 +718,7 @@ class TestColumnFiles:
     def test_factored_embed_matches_dense_mds(self, tmp_path, capsys, name):
         block = nystrom_fixture(name)
         save(block, tmp_path / "est.w2m")
-        dense = complete_nystrom(block)
+        dense = block.matrix()
         dim = choose_dimension(dense, StabilityConfig.energy)
         assert run("embed", "--input", tmp_path / "est.w2m",
                    "--out", tmp_path / "emb.csv") == 0
@@ -724,6 +726,23 @@ class TestColumnFiles:
         expect = mds(dense, dim).coords
         assert coords.shape == expect.shape
         assert np.abs(coords - expect).max() <= 1e-10
+
+    def test_library_estimate_embeds_as_the_cli_does(self, tmp_path, capsys):
+        # complete_nystrom is the step complete takes, so the library's
+        # embedding of the column file is emb.csv byte for byte
+        assert run("synth", "--spec", "classes3:rand300",
+                   "--out", tmp_path / "data") == 0
+        assert run("dist", "--data", tmp_path / "data", "--columns", 30,
+                   "--out", tmp_path / "cols") == 0
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols.w2m", "--out", tmp_path / "est") == 0
+        assert run("embed", "--input", tmp_path / "est.w2m",
+                   "--out", tmp_path / "emb.csv") == 0
+        d = json.loads((tmp_path / "emb.csv.manifest.json").read_text())["dimension"]
+        estimate = complete_nystrom(load(tmp_path / "cols.w2m", expand=False))
+        save_embedding(mds(estimate, d), tmp_path / "lib.csv")
+        assert ((tmp_path / "lib.csv").read_bytes()
+                == (tmp_path / "emb.csv").read_bytes())
 
     @pytest.mark.parametrize("command", ["eval", "embed", "complete"])
     @pytest.mark.parametrize("defect", ["truncated", "bad-magic",
@@ -765,7 +784,8 @@ class TestColumnFiles:
 
     def test_all_zero_estimate_embeds_at_the_origin(self, tmp_path, capsys):
         # a rank-0 estimate: its core keeps no eigenpair, so B = 0
-        save(ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27]),
+        save(complete_nystrom(ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27],
+                                          MatrixKind.PARTIAL)),
              tmp_path / "zero.w2m")
         assert run("embed", "--input", tmp_path / "zero.w2m", "--dim", 2,
                    "--out", tmp_path / "emb.csv") == 0

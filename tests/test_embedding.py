@@ -218,18 +218,18 @@ class TestEmbeddingFiles:
 
 @pytest.fixture(scope="module")
 def rank5_blocks():
-    """Column blocks of noiseless rank-5 squared-distance matrices: 200
+    """Nystrom estimates of noiseless rank-5 squared-distance matrices: 200
     points in R^3 with 20 columns, and classes3:rand300 with 60."""
     blocks = []
     for trial in range(3):
         rng = np.random.default_rng(3000 + trial)
         full = DistanceMatrix.full(edm_of(rng.standard_normal((200, 3))))
         plan = sample_columns(200, 20, seed=derive_seed(3, "cols", trial))
-        blocks.append(ColumnBlock.from_matrix(full, plan.indices))
+        blocks.append(complete_nystrom(ColumnBlock.from_matrix(full, plan.indices)))
     full = w2_matrix(synthetic_dataset("classes3:rand300", 7))
     for trial in range(2):
         plan = sample_columns(300, 60, seed=derive_seed(7, "cols", trial))
-        blocks.append(ColumnBlock.from_matrix(full, plan.indices))
+        blocks.append(complete_nystrom(ColumnBlock.from_matrix(full, plan.indices)))
     return blocks
 
 
@@ -237,7 +237,7 @@ class TestFactoredSpectrum:
     def test_agrees_with_dense_route_on_rank5_fixtures(self, rank5_blocks):
         for block in rank5_blocks:
             factored = spectrum(block)
-            dense = spectrum(complete_nystrom(block))
+            dense = spectrum(block.matrix())
             assert factored.eigenvalues.size == block.effective_rank == 5
             assert dense.eigenvalues.size == block.size
             for energy in (0.5, 0.9, 0.97, 0.999):
@@ -288,9 +288,9 @@ class TestFactoredSpectrum:
 
     def test_non_euclidean_factor_matches_dense_oracles(self):
         n = 40
-        block = ColumnBlock.from_matrix(
-            DistanceMatrix.estimated(non_euclidean(n, 64)), np.arange(20))
-        raw = block.product()  # the matrix the factored route embeds
+        block = complete_nystrom(ColumnBlock.from_matrix(
+            DistanceMatrix.estimated(non_euclidean(n, 64)), np.arange(20)))
+        raw = svd_oracle_product(block)  # the matrix the factored route embeds
         spec = spectrum(block)
         lam = np.sort(np.linalg.eigvalsh(double_center(0.5 * (raw + raw.T))))[::-1]
         scale = np.abs(lam).max()
@@ -312,16 +312,17 @@ class TestFactoredSpectrum:
 
 
 def factored_route_fixture(name):
-    """Column blocks the rank-r route must embed like the dense route."""
+    """Nystrom estimates the rank-r route must embed like the dense route."""
     if name == "rank5-n1000-c200":
         rng = np.random.default_rng(3100)
         full = DistanceMatrix.full(edm_of(rng.standard_normal((1000, 3))))
         plan = sample_columns(1000, 200, seed=derive_seed(31, "cols"))
-        return ColumnBlock.from_matrix(full, plan.indices)
+        return complete_nystrom(ColumnBlock.from_matrix(full, plan.indices))
     if name == "non-euclidean-full-rank":
-        return ColumnBlock.from_matrix(
-            DistanceMatrix.estimated(non_euclidean(40, 64)), np.arange(20))
-    return ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27])
+        return complete_nystrom(ColumnBlock.from_matrix(
+            DistanceMatrix.estimated(non_euclidean(40, 64)), np.arange(20)))
+    return complete_nystrom(ColumnBlock(np.zeros((30, 6)), [0, 5, 9, 14, 20, 27],
+                                        MatrixKind.PARTIAL))
 
 
 def svd_oracle_product(block):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wassmatrix import ColumnBlock, DistanceMatrix, MatrixKind, relative_error
+from wassmatrix import complete_nystrom
 from wassmatrix import cli, matrixio
 from wassmatrix.errors import (
     FormatError,
@@ -14,6 +15,7 @@ from wassmatrix.errors import (
 )
 from wassmatrix.matrixio import BLOCK_ENTRIES, load, row_blocks
 from wassmatrix.matrixio import sanitized_estimate, save
+from wassmatrix.nystrom import PINV_TOLERANCE
 
 
 def random_full(rng, n):
@@ -547,22 +549,40 @@ class TestRelativeError:
             relative_error(est, truth)
 
 
+def oracle_product(block):
+    """Oracle: the raw C U^+ C^T with numpy's pinv cut at PINV_TOLERANCE."""
+    pinv = np.linalg.pinv(block.core, rcond=PINV_TOLERANCE, hermitian=True)
+    return block.columns @ pinv @ block.columns.T
+
+
+def oracle_estimate(raw):
+    """Oracle: ``raw`` symmetrized, with a zero diagonal and clamped at 0."""
+    est = 0.5 * (raw + raw.T)
+    np.fill_diagonal(est, 0.0)
+    return np.maximum(est, 0.0)
+
+
 class TestBlockwiseError:
     """An ESTIMATED column block is compared with the truth one row block
-    at a time; the value matches the dense route to round-off."""
+    at a time, from the row blocks its dense matrix is filled with; both
+    match a dense numpy oracle to round-off."""
 
     @pytest.mark.parametrize("n, c", [(9, 3), (BIG, 6), (BIG, 40)])
     def test_matches_dense_estimate(self, n, c):
         rng = np.random.default_rng(n + c)
         truth = random_full(rng, n)
-        block = ColumnBlock.from_matrix(truth, np.sort(rng.choice(n, c, False)))
-        dense = block.matrix()
+        block = complete_nystrom(
+            ColumnBlock.from_matrix(truth, np.sort(rng.choice(n, c, False))))
+        dense = oracle_estimate(oracle_product(block))
         rows = np.vstack([r for _, _, r in block.estimate_rows()])
-        np.testing.assert_allclose(rows, dense.values, rtol=1e-12,
-                                   atol=1e-12 * np.abs(dense.values).max())
+        np.testing.assert_allclose(rows, dense, rtol=0,
+                                   atol=1e-12 * np.abs(dense).max())
+        dense_block = block.matrix().values  # the upper triangle of rows, mirrored
+        np.testing.assert_array_equal(np.triu(dense_block), np.triu(rows))
+        np.testing.assert_array_equal(dense_block, dense_block.T)
         assert np.diagonal(rows).tolist() == [0.0] * n and rows.min() >= 0.0
-        assert relative_error(block, truth) == pytest.approx(
-            relative_error(dense, truth), rel=1e-12)
+        expect = np.linalg.norm(dense - truth.values) / np.linalg.norm(truth.values)
+        assert relative_error(block, truth) == pytest.approx(expect, rel=1e-12)
 
     def test_clamp_and_symmetrization_match_dense_route(self):
         # Mixed-sign columns give a raw product with negative entries
@@ -574,10 +594,11 @@ class TestBlockwiseError:
         core = core + core.T
         np.fill_diagonal(core, 0.0)
         columns[idx] = core
-        block = ColumnBlock(columns, idx)
-        raw = block.product()
+        # negative entries: only an ESTIMATED file's columns may hold them
+        block = ColumnBlock(columns, idx, MatrixKind.ESTIMATED)
+        raw = oracle_product(block)
         assert raw.min() < 0.0 and np.any(raw != raw.T)
-        dense = sanitized_estimate(raw).values
+        dense = oracle_estimate(raw)
         rows = np.vstack([r for _, _, r in block.estimate_rows()])
         scale = np.abs(raw).max()
         np.testing.assert_allclose(rows, dense, rtol=0, atol=1e-12 * scale)
@@ -615,6 +636,23 @@ class TestPeakMemory:
         assert m.kind is MatrixKind.FULL
         assert peak < 1.5 * (m.values.nbytes + m.mask.nbytes)
 
+    def test_dense_column_estimate_is_filled_in_place(self):
+        # matrix() of an ESTIMATED block writes its row blocks into the one
+        # N x N array: no N x N product or sanitized copy beside it
+        rng = np.random.default_rng(51)
+        pts = rng.normal(size=(1000, 3))
+        idx = np.sort(rng.choice(1000, 51, replace=False))
+        block = complete_nystrom(ColumnBlock(
+            ((pts[:, None] - pts[idx]) ** 2).sum(axis=-1), idx, MatrixKind.PARTIAL))
+        tracemalloc.start()
+        try:
+            m = block.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.kind is MatrixKind.ESTIMATED
+        assert peak < 1.5 * m.values.nbytes
+
     def test_eval_of_column_estimate_stays_near_the_truth_file(self, tmp_path,
                                                                  capsys):
         from wassmatrix.ot import w2_matrix
@@ -623,8 +661,9 @@ class TestPeakMemory:
         data = two_atom_measures(n)
         save(w2_matrix(data), tmp_path / "full.w2m")
         plan = sample_columns(n, 8, seed=3)
-        save(ColumnBlock(w2_matrix(data, plan).values[:, plan.indices],
-                         plan.indices), tmp_path / "est.w2m")
+        save(complete_nystrom(ColumnBlock.from_matrix(w2_matrix(data, plan),
+                                                      plan.indices)),
+             tmp_path / "est.w2m")
         tracemalloc.start()
         try:
             assert cli.main(["eval", "--estimate", str(tmp_path / "est.w2m"),

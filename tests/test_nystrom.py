@@ -30,7 +30,7 @@ def random_rotation(rng, d):
 class TestColumnBlock:
     def test_core_derived_from_columns(self):
         vals = edm_of(np.arange(5.0)[:, None])
-        block = ColumnBlock(vals[:, [1, 3]], [1, 3])
+        block = ColumnBlock(vals[:, [1, 3]], [1, 3], MatrixKind.PARTIAL)
         np.testing.assert_array_equal(block.core, vals[np.ix_([1, 3], [1, 3])])
 
     def test_from_partial_requires_coverage(self):
@@ -46,25 +46,26 @@ class TestColumnBlock:
 
     def test_nonzero_core_diagonal_rejected(self):
         with pytest.raises(InvariantViolation):
-            ColumnBlock(np.ones((3, 1)), [0])
+            ColumnBlock(np.ones((3, 1)), [0], MatrixKind.PARTIAL)
 
     def test_estimate_relabels_and_keeps_factors(self):
         vals = edm_of(np.random.default_rng(30).normal(size=(9, 2)))
-        partial = ColumnBlock(vals[:, [1, 4, 7]], [1, 4, 7], MatrixKind.PARTIAL)
-        est = partial.estimate()
+        partial = ColumnBlock.from_matrix(DistanceMatrix.full(vals), [1, 4, 7])
+        est = complete_nystrom(partial)
         assert partial.kind is MatrixKind.PARTIAL
-        assert est.kind is MatrixKind.ESTIMATED and est.estimate() is est
+        assert est.kind is MatrixKind.ESTIMATED and complete_nystrom(est) is est
         for name in ("columns", "indices", "core", "core_vectors",
                      "core_inverse_eigenvalues", "core_singular_values"):
             assert getattr(est, name) is getattr(partial, name)
-        again = ColumnBlock(partial.columns, partial.indices)
+        # as matrixio.load reads the estimate's file: a second eigh
+        again = ColumnBlock(partial.columns, partial.indices, MatrixKind.ESTIMATED)
         assert est.matrix().values.tobytes() == again.matrix().values.tobytes()
 
     def test_estimate_of_zero_core_fails(self):
         partial = ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0],
                               MatrixKind.PARTIAL)
         with pytest.raises(NumericalError, match=r"core block is identically zero"):
-            partial.estimate()
+            complete_nystrom(partial)
 
 
 def truncated_pinv(matrix):
@@ -78,6 +79,16 @@ def svd_pinv(matrix):
     u, s, vt = np.linalg.svd(matrix)
     keep = s > PINV_TOLERANCE * s[0]
     return (vt[keep].T / s[keep]) @ u[:, keep].T
+
+
+def oracle_estimate(block):
+    """Oracle: C U^+ C^T with numpy's pinv cut at PINV_TOLERANCE, then
+    symmetrized, with a zero diagonal and clamped at 0."""
+    pinv = np.linalg.pinv(block.core, rcond=PINV_TOLERANCE, hermitian=True)
+    raw = block.columns @ pinv @ block.columns.T
+    est = 0.5 * (raw + raw.T)
+    np.fill_diagonal(est, 0.0)
+    return np.maximum(est, 0.0)
 
 
 class TestTruncatedPinv:
@@ -115,11 +126,10 @@ class TestNystromFactor:
         np.testing.assert_allclose(block.core_singular_values, sigma,
                                    rtol=1e-12)
         assert block.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
-        factor = block.columns @ vectors
-        np.testing.assert_array_equal(block.product(),
-                                      (factor * inverse) @ factor.T)
-        dense = block.columns @ oracle @ block.columns.T
-        np.testing.assert_allclose(block.product(), dense, rtol=0,
+        dense = oracle_estimate(block)
+        est = complete_nystrom(block).matrix()
+        assert est.kind is MatrixKind.ESTIMATED
+        np.testing.assert_allclose(est.values, dense, rtol=0,
                                    atol=1e-12 * np.abs(dense).max())
 
     def test_truncation_sets_effective_rank(self):
@@ -130,7 +140,7 @@ class TestNystromFactor:
 
     def test_degenerate_core(self):
         with pytest.raises(NumericalError, match=r"core block is identically zero"):
-            ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0])
+            ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0], MatrixKind.ESTIMATED)
 
     def test_factors_are_read_only(self):
         block = self.noisy_block(29, [2, 6, 11])
@@ -174,13 +184,15 @@ class TestCompleteNystrom:
     def test_degenerate_core(self):
         columns = np.array([[0.0], [4.0], [9.0]])  # core = [[0]]
         with pytest.raises(NumericalError, match=r"core block is identically zero"):
-            complete_nystrom(ColumnBlock(columns, [0]))
+            complete_nystrom(ColumnBlock(columns, [0], MatrixKind.PARTIAL))
 
     def test_output_invariants(self):
         rng = np.random.default_rng(24)
         truth = edm_of(rng.normal(size=(15, 3)))
         full = DistanceMatrix.full(truth)
         est = complete_nystrom(ColumnBlock.from_matrix(full, [0, 2, 4, 6, 8]))
+        assert est.kind is MatrixKind.ESTIMATED
+        est = est.matrix()
         assert est.kind is MatrixKind.ESTIMATED
         np.testing.assert_array_equal(est.values, est.values.T)
         assert np.all(np.diagonal(est.values) == 0.0)

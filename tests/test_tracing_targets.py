@@ -72,3 +72,31 @@ def test_dist_records_assembly_and_save(tmp_path, capsys, mode):
     assert names.count("ot.w2_matrix") == 1
     assert names.count("matrixio.save") == 1
     assert tracing.nesting_errors(recorder.spans) == []
+
+
+def traced_span_names(*argv):
+    """Names of the spans a traced ``cli.main(argv)`` records."""
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    uninstall = tracing.install(recorder)
+    try:
+        assert cli.main([str(a) for a in argv]) == 0
+    finally:
+        uninstall()
+    assert tracing.nesting_errors(recorder.spans) == []
+    return [s["name"] for s in recorder.spans]
+
+
+def test_nystrom_steps_are_traced(tmp_path, capsys):
+    # complete and each classify trial reach nystrom.complete_nystrom
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--spec", "classes3:rand30", "--out", str(data)]) == 0
+    assert cli.main(["dist", "--data", str(data), "--columns", "5",
+                     "--out", str(tmp_path / "cols")]) == 0
+    names = traced_span_names("complete", "--algorithm", "nystrom",
+                              "--input", tmp_path / "cols.w2m",
+                              "--out", tmp_path / "est")
+    assert names.count("nystrom.complete_nystrom") == 1
+    names = traced_span_names("classify", "--data", data, "--fractions", "0.3,1.0",
+                              "--trials", 2, "--out", tmp_path / "cls")
+    assert names.count("nystrom.complete_nystrom") == 4
