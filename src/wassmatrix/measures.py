@@ -26,10 +26,12 @@ from .matrixio import freeze
 _WEIGHT_TOL = 1e-12
 
 
-def uniform_weights(weights: np.ndarray) -> bool:
-    """True when every weight is within _WEIGHT_TOL of 1 / (atom count)."""
-    gap = np.abs(weights - 1.0 / weights.shape[0])
-    return bool(np.all(gap <= _WEIGHT_TOL))
+def uniform_weights(weights: np.ndarray):
+    """Whether every weight along the last axis is within _WEIGHT_TOL of
+    1 / (atom count): one bool for a measure's weights, one per row for
+    a stack of them."""
+    gap = np.abs(weights - 1.0 / weights.shape[-1])
+    return (gap <= _WEIGHT_TOL).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,18 @@ class DiscreteMeasure:
     """A probability measure sum_i w_i * delta_{x_i} on R^n.
 
     ``points`` has shape (m, n) and ``weights`` shape (m,).  Construction
-    drops zero-weight atoms, rejects negative weights, and normalizes the
-    remaining weights to sum to 1.  Instances are immutable.
+    rejects non-finite points and negative or non-finite weights, drops
+    zero-weight atoms, and normalizes the remaining weights to sum to 1.
+    Both are kept as read-only C-contiguous copies: the solvers' sums
+    (cdist, ``weights @ points``) can round differently on strided
+    arrays.  Instances are immutable.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __init__(self, points, weights):
-        pts = np.asarray(points, dtype=np.float64)
+        pts = np.array(points, dtype=np.float64, order="C")  # our own copy
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
@@ -55,13 +60,16 @@ class DiscreteMeasure:
             raise InvariantViolation(
                 f"{pts.shape[0]} points but {w.shape[0]} weights"
             )
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
+        if not np.isfinite(pts).all():
+            raise InvariantViolation("points must be finite")
+        lightest = w.min()
+        if not (lightest >= 0 and w.max() < np.inf):
             raise InvariantViolation("weights must be finite and nonnegative")
-        keep = w > 0
-        if not np.any(keep):
-            raise InvariantViolation("measure has no positive-weight atom")
-        pts = pts[keep]
-        w = w[keep]
+        if lightest == 0:  # drop the zero-weight atoms
+            keep = w > 0
+            if not keep.any():
+                raise InvariantViolation("measure has no positive-weight atom")
+            pts, w = pts[keep], w[keep]
         w = w / w.sum()
         if abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise InvariantViolation("weights failed to normalize")
@@ -77,7 +85,7 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
     def is_uniform(self) -> bool:
-        return uniform_weights(self.weights)
+        return bool(uniform_weights(self.weights))
 
     def translated(self, shift) -> "DiscreteMeasure":
         shift = np.asarray(shift, dtype=np.float64).ravel()
@@ -262,8 +270,11 @@ def save_measure(measure: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    text = Path(path).read_text(encoding="ascii")
-    rows = [ln for ln in text.splitlines() if ln.strip()]
+    """Read the text format ``save_measure`` writes.  Blank lines are
+    skipped; any malformed line or invalid measure raises a
+    ``FormatError`` that names the file."""
+    with open(path, "rb") as fh:  # a text-mode stream costs more to open
+        rows = [ln for ln in fh.read().decode("ascii").splitlines() if ln.strip()]
     if not rows:
         raise FormatError(f"{path}: empty measure file")
     head = rows[0].split()
@@ -275,20 +286,21 @@ def load_measure(path) -> DiscreteMeasure:
         raise FormatError(f"{path}: bad header {rows[0]!r}") from exc
     if len(rows) - 1 != m:
         raise FormatError(f"{path}: expected {m} atom lines, got {len(rows) - 1}")
-    weights = np.empty(m)
-    points = np.empty((m, dim))
+    values = []
     for k, ln in enumerate(rows[1:]):
         parts = ln.split()
         if len(parts) != dim + 1:
             raise FormatError(f"{path}: atom line {k} has {len(parts)} fields, "
                               f"expected {dim + 1}")
         try:
-            vals = [float(p) for p in parts]
+            values.extend(map(float, parts))
         except ValueError as exc:
             raise FormatError(f"{path}: non-numeric atom line {k}") from exc
-        weights[k] = vals[0]
-        points[k] = vals[1:]
-    return DiscreteMeasure(points, weights)
+    table = np.array(values).reshape(m, dim + 1)
+    try:
+        return DiscreteMeasure(table[:, 1:], table[:, 0])
+    except InvariantViolation as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: MeasureDataset, directory) -> None:

@@ -22,10 +22,14 @@ dataset, either in full or restricted to a sample plan (entry set or
 column set).  Pairs of uniform measures with the same small atom count
 m <= 4 and dimension are solved in the calling process, many at once:
 their optimum sits at a permutation vertex (Birkhoff-von Neumann), so
-the minimum over all m! permutation couplings is exact.  Only the
-remaining pairs are solved one by one by ``w2_squared``, optionally
-fanned out over a process pool.  Entries are pure functions of the two
-measures, so the result is identical for any worker count.
+the minimum over all m! permutation couplings is exact.  One broadcast
+kernel serves row blocks of a group against its later members (written
+straight into the upper triangle) and pair lists alike, and it sums in
+the order the single-pair route does, so both give the same bits.  Only
+the remaining pairs are listed and solved one by one by ``w2_squared``,
+optionally fanned out over a process pool.  Entries are pure functions
+of the two measures (the first one of a pair i < j always mu_i), so
+the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.spatial.distance import cdist
 
 from .errors import SolverFailure, UsageError
-from .matrixio import DistanceMatrix, MatrixKind, freeze
+from .matrixio import DistanceMatrix, MatrixKind, freeze, row_blocks
 from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
 
@@ -47,10 +51,11 @@ from .sampling import SamplePlan
 # vertices).  Per pair on one core, d = 2: 1.6 us at m = 4, 5.3 us at 5,
 # 29 us at 6 and 100 us at 7, against ~35 us through linear_sum_assignment.
 _BATCH_MAX_ATOMS = 4
-# Pairs per vectorised block; bounds its temporaries (about 240 bytes a
-# pair at m = d = 2).  For N = 1000 two-atom measures on one core, 8192
-# against 32768 takes w2_matrix's tracemalloc peak from 16.1 to 10.9 MB
-# (the values and mask are 9 MB) in the same time (0.15 s).
+# Pairs per vectorised block; bounds its temporaries (about 80 bytes a
+# pair at m = d = 2).  For N = 1000 two-atom measures on one core, the
+# full w2_matrix took 28-35, 19-20 and 18-22 ms at 2048, 8192 and 32768
+# in two runs, with tracemalloc peaks of 9.2, 9.7 and 11.3 MB (the
+# values and mask are 9 MB).
 _BATCH_PAIRS = 8192
 # Nearest atoms per row and per column in the LP's first arc set.  On
 # 60-pixel blob pairs it keeps about 20% of the arcs and needs at most
@@ -66,17 +71,17 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     return cdist(mu.points, nu.points, "sqeuclidean")
 
 
-def _vertex_minimum(cost: np.ndarray) -> np.ndarray:
-    """Exact W2^2 of uniform pairs from their (B, m, m) squared costs: the
-    minimum over all m! permutation couplings, each summed over rows in
-    index order."""
-    m = cost.shape[1]
-    best = np.full(cost.shape[0], np.inf)
+def _vertex_minimum(cost):
+    """Exact W2^2 of uniform m-atom pairs from their m x m squared costs,
+    cost[r][s] a number or one array over many pairs: the minimum over
+    all m! permutation couplings, each summed over rows in index order."""
+    m = len(cost)
+    best = None
     for perm in itertools.permutations(range(m)):
-        total = cost[:, 0, perm[0]].copy()
+        total = cost[0][perm[0]]
         for r in range(1, m):
-            total += cost[:, r, perm[r]]
-        np.minimum(best, total, out=best)
+            total = total + cost[r][perm[r]]
+        best = total if best is None else np.minimum(best, total)
     return best / m
 
 
@@ -215,7 +220,7 @@ def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         return float(cost[:, 0] @ a)
     if m == n and uniform_weights(a) and uniform_weights(b):
         if m <= _BATCH_MAX_ATOMS:
-            return float(_vertex_minimum(cost[None])[0])
+            return float(_vertex_minimum(cost))
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / m)
     return _solve_lp(cost, a, b, _shortlist(mu, nu))
@@ -271,35 +276,90 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 # --- matrix assembly -----------------------------------------------------------
 
 def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact W2^2 of the uniform m-atom pairs (x[b], y[b]), x and y (B, m, d).
+    """Exact W2^2 of uniform m-atom pairs, x and y (..., m, d) arrays that
+    broadcast: a pair list (B, m, d) against (B, m, d), or a row block
+    (R, 1, m, d) against (1, C, m, d).  x is the first measure of each pair.
 
-    Costs are summed over coordinates in index order, as cdist sums them.
+    Each of the m^2 costs is one plane over the whole block, its squared
+    gaps summed over coordinates in index order from the first, as cdist
+    sums them, so ``_vertex_minimum`` of the planes gives the bits
+    ``w2_squared`` gives.  It sums each coupling over the rows of x, so
+    for m >= 3 swapping x and y may change the last bit.
     """
-    cost = np.zeros((x.shape[0], x.shape[1], y.shape[1]))
-    for k in range(x.shape[2]):
-        gap = x[:, :, None, k] - y[:, None, :, k]
-        gap *= gap
-        cost += gap
+    m, d = x.shape[-2:]
+    cost = [[None] * m for _ in range(m)]
+    for r, s in itertools.product(range(m), repeat=2):
+        plane = x[..., r, 0] - y[..., s, 0]
+        plane *= plane
+        for k in range(1, d):
+            gap = x[..., r, k] - y[..., s, k]
+            gap *= gap
+            plane += gap
+        cost[r][s] = plane
     return _vertex_minimum(cost)
 
 
 def _batch_groups(data: MeasureDataset):
     """The measures ``w2_matrix`` batches: uniform measures of m <=
-    _BATCH_MAX_ATOMS atoms, grouped by shape (m, d).  Returns each
-    measure's group (-1: none) and row in its group's stack, and the
-    stacks of the groups' points, (size, m, d) each."""
-    members: dict[tuple, list[int]] = {}
+    _BATCH_MAX_ATOMS atoms, grouped by shape (m, d), with one uniformity
+    test per shape.  Returns each measure's group (-1: none), and per
+    group its members in index order and the stack of their points,
+    (size, m, d)."""
+    shapes: dict[tuple, list[int]] = {}
     for k, mu in enumerate(data.measures):
-        if mu.num_atoms <= _BATCH_MAX_ATOMS and uniform_weights(mu.weights):
-            members.setdefault(mu.points.shape, []).append(k)
+        if mu.num_atoms <= _BATCH_MAX_ATOMS:
+            shapes.setdefault(mu.points.shape, []).append(k)
     group = np.full(len(data), -1)
-    local = np.zeros(len(data), np.int64)
-    stacks = []
-    for g, ks in enumerate(members.values()):
-        group[ks] = g
-        local[ks] = np.arange(len(ks))
-        stacks.append(np.stack([data.measures[k].points for k in ks]))
-    return group, local, stacks
+    members, stacks = [], []
+    for ks in shapes.values():
+        ks = np.array(ks)
+        ks = ks[uniform_weights(np.array([data.measures[k].weights for k in ks]))]
+        if ks.size:
+            group[ks] = len(members)
+            members.append(ks)
+            stacks.append(np.array([data.measures[k].points for k in ks]))
+    return group, members, stacks
+
+
+def _fill_group(values: np.ndarray, ks: np.ndarray, stack: np.ndarray,
+                sampled: np.ndarray | None) -> None:
+    """Write a batch group's pairs into the upper triangle of ``values``,
+    row block by row block: every pair (ks[t], ks[u]), t < u, when
+    ``sampled`` is None, else those in which member t or u is sampled
+    (a bool per member).  The earlier member of a pair is always x.
+
+    A row block t in [a, b) takes its later sampled members u as y, and
+    for a column plan also its earlier sampled members as x.  Block
+    entries on or below the diagonal are written as zeros, which is what
+    those entries hold until ``_mirror_upper``.
+    """
+    g = ks.size
+    cols = np.arange(g) if sampled is None else np.flatnonzero(sampled)
+    a = 0
+    while a < g and cols.size:
+        per_row = g - 1 - a if sampled is None else 2 * cols.size
+        b = min(a + max(1, _BATCH_PAIRS // max(per_row, 1)), g)
+        t = np.arange(a, b)
+        later = cols[cols > a]
+        block = _permutation_minimum(stack[a:b, None], stack[None, later])
+        values[np.ix_(ks[a:b], ks[later])] = np.where(t[:, None] < later,
+                                                       block, 0.0)
+        if sampled is not None:
+            earlier = cols[cols < b - 1]
+            block = _permutation_minimum(stack[earlier, None], stack[None, a:b])
+            values[np.ix_(ks[earlier], ks[a:b])] = np.where(
+                earlier[:, None] < t, block, 0.0)
+        a = b
+
+
+def _mirror_upper(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square ``a`` onto its lower
+    triangle, in row blocks."""
+    for start, stop in row_blocks(a.shape[0]):
+        a[start:stop, :start] = a[:start, start:stop].T
+        square = a[start:stop, start:stop]
+        below = np.tril_indices(stop - start, -1)
+        square[below] = square.T[below]
 
 
 def _solve_pairs(measures: tuple, pairs: np.ndarray) -> np.ndarray:
@@ -322,8 +382,6 @@ def _pool_solve(pairs: np.ndarray) -> np.ndarray:
 
 
 def _required_pairs(n: int, plan: SamplePlan) -> np.ndarray:
-    if plan.size != n:
-        raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
     if plan.is_entries:
         return plan.indices.copy()
     # the pairs (i, j), i < j, with i or j in I, in row-major order: the
@@ -357,49 +415,69 @@ def _pair_blocks(n: int, plan: SamplePlan | None):
         start = stop
 
 
-def _mirror(a: np.ndarray, ii: np.ndarray, jj: np.ndarray, v) -> None:
-    a[ii, jj] = v
-    a[jj, ii] = v
-
-
 def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
               workers: int = 1) -> DistanceMatrix:
     """Squared W2 distance matrix of a dataset.
 
-    ``plan=None`` computes all N(N-1)/2 upper-triangle entries and
-    mirrors them.  An entry plan computes exactly its pairs; a column
-    plan computes every entry in the sampled columns (and, by symmetry,
-    rows).  The pairs are walked in row-major blocks of at most
-    ``_BATCH_PAIRS`` (the upper triangle row block by row block).  Pairs
-    of uniform measures with equal atom count m <= 4 and equal dimension
-    are solved in the calling process by a vectorised permutation
-    minimum and written straight into the N x N values, so a dataset of
-    such measures never lists all its pairs.  Only the remaining pairs,
-    collected in row-major order into one array, may be distributed
-    over ``workers`` processes, and a pool starts only when at least
-    2 * workers of them are left.  The result does not depend on the
-    worker count, and its values and mask are handed to the
-    ``DistanceMatrix`` without a copy.
+    ``plan=None`` computes all N(N-1)/2 upper-triangle entries.  An entry
+    plan computes exactly its pairs; a column plan computes every entry
+    in the sampled columns (and, by symmetry, rows).  Each pair (i, j),
+    i < j, is solved with mu_i first and written into the upper triangle,
+    which is mirrored onto the lower one once at the end.
+
+    Uniform measures with equal atom count m <= 4 and equal dimension
+    form a batch group, whose pairs are solved in the calling process by
+    a vectorised permutation minimum.  For a full or column plan each
+    group writes its pairs straight into the N x N values as row blocks
+    of at most ``_BATCH_PAIRS`` entries, without listing them; an entry
+    plan's pairs go through the same kernel in blocks of as many pairs.
+    Only the pairs not inside one group are listed, in row-major order
+    into one array, and solved one by one by ``w2_squared``, distributed
+    over ``workers`` processes when at least 2 * workers of them are
+    left.  The result does not depend on the worker count, and its
+    values and mask are handed to the ``DistanceMatrix`` without a copy.
     """
     n = len(data)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if plan is not None and plan.size != n:
+        raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
+    entries = plan is not None and plan.is_entries
     values = np.zeros((n, n))
-    mask = np.ones((n, n), bool) if plan is None else np.eye(n, dtype=bool)
-    group, local, stacks = _batch_groups(data)
-    rest = [np.empty((0, 2), np.int64)]
-    for ii, jj in _pair_blocks(n, plan):
+    if plan is None:
+        mask = np.ones((n, n), bool)
+    else:
+        mask = np.eye(n, dtype=bool)
+        if entries:
+            ii, jj = plan.indices.T
+            mask[ii, jj] = mask[jj, ii] = True
+        else:
+            mask[plan.indices] = mask[:, plan.indices] = True
+    group, members, stacks = _batch_groups(data)
+    if not entries:
+        sampled = None
         if plan is not None:
-            _mirror(mask, ii, jj, True)
-        gi = group[ii]
-        batched = (gi >= 0) & (gi == group[jj])
-        for g, stack in enumerate(stacks):
-            sel = np.flatnonzero(batched & (gi == g))
-            if sel.size:
-                bi, bj = ii[sel], jj[sel]
-                _mirror(values, bi, bj,
-                        _permutation_minimum(stack[local[bi]], stack[local[bj]]))
-        rest.append(np.column_stack([ii[~batched], jj[~batched]]))
+            sampled = np.zeros(n, bool)
+            sampled[plan.indices] = True
+        for ks, stack in zip(members, stacks):
+            _fill_group(values, ks, stack,
+                        None if sampled is None else sampled[ks])
+    rest = [np.empty((0, 2), np.int64)]
+    if entries or (group != 0).any():  # else every pair is in group 0
+        local = np.zeros(n, np.int64)
+        for ks in members:
+            local[ks] = np.arange(ks.size)
+        for ii, jj in _pair_blocks(n, plan):
+            gi = group[ii]
+            batched = (gi >= 0) & (gi == group[jj])
+            if entries:
+                for g, stack in enumerate(stacks):
+                    sel = np.flatnonzero(batched & (gi == g))
+                    if sel.size:
+                        bi, bj = ii[sel], jj[sel]
+                        values[bi, bj] = _permutation_minimum(
+                            stack[local[bi]], stack[local[bj]])
+            rest.append(np.column_stack([ii[~batched], jj[~batched]]))
     todo = np.concatenate(rest)
     del rest  # one list of the remaining pairs lives through the solve
     if workers == 1 or todo.shape[0] < 2 * workers:
@@ -410,6 +488,7 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(data.measures,)) as pool:
             vals = np.concatenate(list(pool.map(_pool_solve, chunks)))
-    _mirror(values, todo[:, 0], todo[:, 1], vals)
+    values[todo[:, 0], todo[:, 1]] = vals
+    _mirror_upper(values)
     kind = MatrixKind.FULL if mask.all() else MatrixKind.PARTIAL
     return DistanceMatrix(freeze(values), freeze(mask), kind)

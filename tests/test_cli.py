@@ -136,6 +136,24 @@ class TestSynthAndDist:
         assert err.startswith("wassmatrix: numerical failure:")
         assert not (tmp_path / "x.w2m").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("0.5 nan 0.0", "points must be finite"),
+        ("-0.5 1.0 0.0", "weights must be finite and nonnegative"),
+    ])
+    def test_invalid_measure_exits_1_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch, line, message):
+        data_dir = tmp_path / "data"
+        assert run("synth", "--spec", "translations:rand12", "--out", data_dir) == 0
+        bad = data_dir / "measure_0007.txt"
+        bad.write_text(f"2 2\n0.5 0.0 0.0\n{line}\n")
+        solves = []
+        monkeypatch.setattr(cli, "w2_matrix", lambda *args: solves.append(args))
+        capsys.readouterr()
+        assert run("dist", "--data", data_dir, "--full", "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == f"wassmatrix: error: {bad}: {message}\n"
+        assert solves == []
+        assert not list(tmp_path.glob("x*"))
+
     def test_mode_exclusivity(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         run("synth", "--spec", "translations:grid2", "--out", data_dir)

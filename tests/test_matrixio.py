@@ -636,6 +636,22 @@ class TestPeakMemory:
         assert m.kind is MatrixKind.FULL
         assert peak < 1.5 * (m.values.nbytes + m.mask.nbytes)
 
+    @pytest.mark.parametrize("variant", ["columns", "entries"])
+    def test_w2_matrix_plans_build_values_and_mask_once(self, variant):
+        from wassmatrix.ot import w2_matrix
+        from wassmatrix.sampling import sample_columns, sample_entries
+        data = two_atom_measures(800)
+        plan = (sample_columns(800, 40, seed=5) if variant == "columns"
+                else sample_entries(800, 0.1, seed=5))
+        tracemalloc.start()
+        try:
+            m = w2_matrix(data, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.kind is MatrixKind.PARTIAL
+        assert peak < 1.5 * (m.values.nbytes + m.mask.nbytes)
+
     def test_dense_column_estimate_is_filled_in_place(self):
         # matrix() of an ESTIMATED block writes its row blocks into the one
         # N x N array: no N x N product or sanitized copy beside it

@@ -57,6 +57,32 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             mu.points[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        for weights in ([0.5, 0.5], [1.0, 0.0]):  # zero-weight atoms too
+            with pytest.raises(InvariantViolation, match="points must be finite"):
+                DiscreteMeasure([[0.0, 1.0], [bad, 2.0]], weights)
+        with pytest.raises(InvariantViolation, match="points must be finite"):
+            DiscreteMeasure([0.0, bad], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weights_rejected(self, bad):
+        with pytest.raises(InvariantViolation,
+                           match="weights must be finite and nonnegative"):
+            DiscreteMeasure([[0.0], [1.0]], [0.5, bad])
+
+    def test_keeps_contiguous_copies_of_strided_input(self):
+        # a parsed file's columns are strided views of one table; the
+        # measure keeps C-contiguous copies and leaves the table writable
+        table = np.array([[0.25, 1.0, 2.0], [0.75, 3.0, 4.0]])
+        mu = DiscreteMeasure(table[:, 1:], table[:, 0])
+        for kept in (mu.points, mu.weights):
+            assert kept.flags.c_contiguous and not kept.flags.writeable
+            assert not np.shares_memory(kept, table)
+        assert table.flags.writeable
+        np.testing.assert_array_equal(mu.points, table[:, 1:])
+        np.testing.assert_array_equal(mu.weights, table[:, 0])
+
     def test_translated_dimension_mismatch(self):
         mu = two_atom_base()
         with pytest.raises(UsageError, match=r"shift has dimension 3, measure 2"):
@@ -231,6 +257,54 @@ class TestMeasureFiles:
             p.write_text(text)
             with pytest.raises(FormatError):
                 load_measure(p)
+
+    @pytest.mark.parametrize("line, message", [
+        ("-0.5 0.0 1.0", "weights must be finite and nonnegative"),
+        ("0.5 nan 1.0", "points must be finite"),
+        ("0.5 0.0 inf", "points must be finite"),
+    ])
+    def test_invalid_measure_names_its_file(self, tmp_path, line, message):
+        save_dataset(synthetic_dataset("classes3:rand9", 2), tmp_path / "ds")
+        bad = tmp_path / "ds" / "measure_0004.txt"
+        bad.write_text(f"2 2\n0.5 0.0 0.0\n{line}\n")
+        for read in (lambda: load_measure(bad),
+                     lambda: load_dataset(tmp_path / "ds")):
+            with pytest.raises(FormatError) as info:
+                read()
+            assert str(info.value) == f"{bad}: {message}"
+            assert isinstance(info.value.__cause__, InvariantViolation)
+
+    def test_grid_images_load_bit_equal(self, tmp_path):
+        # non-uniform weights of pixel intensities, as the image workloads
+        # write them.  The file holds the saved arrays exactly (repr), and
+        # the constructor normalizes the weights again on reading, so
+        # load_dataset gives what the constructor gives the saved arrays,
+        # as C-contiguous float64 arrays, and so does an independent
+        # parse of each file; the matrix keeps its bytes
+        rng = np.random.default_rng(71)
+        images = []
+        for _ in range(8):
+            img = rng.random((6, 6))
+            img[img < 0.5] = 0.0
+            images.append(measure_from_grid_image(img))
+        save_dataset(MeasureDataset(images), tmp_path / "ds")
+        back = load_dataset(tmp_path / "ds")
+        files = sorted((tmp_path / "ds").glob("measure_*.txt"))
+        expect = []
+        for mu, nu, path in zip(images, back.measures, files):
+            table = np.loadtxt(path, skiprows=1, ndmin=2)
+            np.testing.assert_array_equal(table[:, 1:], mu.points)
+            np.testing.assert_array_equal(table[:, 0], mu.weights)
+            again = DiscreteMeasure(mu.points, mu.weights)
+            for oracle in (again, DiscreteMeasure(table[:, 1:], table[:, 0])):
+                for want, got in ((oracle.points, nu.points),
+                                  (oracle.weights, nu.weights)):
+                    assert got.dtype == np.float64 and got.flags.c_contiguous
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+            expect.append(again)
+        assert (w2_matrix(back).values.tobytes()
+                == w2_matrix(MeasureDataset(expect)).values.tobytes())
 
     def test_dataset_round_trip_with_labels(self, tmp_path):
         data = synthetic_dataset("classes3:rand9", 2)

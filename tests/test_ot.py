@@ -23,7 +23,7 @@ from wassmatrix import (
 from wassmatrix.errors import SolverFailure, UsageError
 from wassmatrix import ot
 from wassmatrix.measures import two_atom_base
-from wassmatrix.sampling import ENTRIES, SamplePlan
+from wassmatrix.sampling import COLUMNS, ENTRIES, SamplePlan
 
 
 def random_uniform_pair(rng, max_atoms=6, max_dim=3):
@@ -522,6 +522,70 @@ class TestShortlist:
             assert strategies == [dual] + [primal] * (len(strategies) - 1)
             rounds = max(rounds, len(strategies) - 1)
         assert rounds >= 2
+
+
+def mixed_batch_dataset(rng, dim):
+    """Batch groups of m = 1..4 atoms, five uniform measures each, shuffled
+    among two non-uniform (LP) measures and one uniform 5-atom measure
+    (assignment), all in R^dim."""
+    measures = []
+    for m in (1, 2, 3, 4):
+        measures += uniform_family(rng, 5, m, dim).measures
+    measures += [DiscreteMeasure(rng.normal(size=(3, dim)) * 3, rng.random(3) + 0.1)
+                 for _ in range(2)]
+    measures.append(DiscreteMeasure(rng.normal(size=(5, dim)) * 3, np.full(5, 0.2)))
+    return MeasureDataset([measures[k] for k in rng.permutation(len(measures))])
+
+
+class TestBatchedPlans:
+    """Every plan's batched entries against the pair route, bit for bit:
+    row blocks of a group, both halves of a column block and entry lists
+    all take the earlier measure of a pair as x."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_plan_matches_the_pair_route(self, dim, monkeypatch):
+        rng = np.random.default_rng(440 + dim)
+        data = mixed_batch_dataset(rng, dim)
+        n = len(data)
+        iu, ju = np.triu_indices(n, k=1)
+        # batched pairs (m = 3, 4) whose bits depend on which measure is x
+        sensitive = [(i, j) for i, j in zip(iu.tolist(), ju.tolist())
+                     if data[i].num_atoms >= 3
+                     and data[i].points.shape == data[j].points.shape
+                     and w2_squared(data[i], data[j]) != w2_squared(data[j], data[i])]
+        i0, j0 = sensitive[0]
+        i1, j1 = next(p for p in sensitive if not {i0, j0} & set(p))
+        # the column plan reaches (i0, j0) through sampled j0 (the block
+        # below it) and (i1, j1) through sampled i1 (the block right of it)
+        extra = sample_columns(n, 6, seed=dim).indices
+        cols = {j0, i1} | (set(extra.tolist()) - {i0, j1})
+        pairs = set(map(tuple, sample_entries(n, 0.3, seed=dim).indices.tolist()))
+        plans = {"full": None,
+                 "columns": SamplePlan(COLUMNS, sorted(cols), seed=0, size=n),
+                 "entries": SamplePlan(ENTRIES, sorted(pairs | {(i0, j0), (i1, j1)}),
+                                       seed=0, size=n)}
+        for name, plan in plans.items():
+            default = w2_matrix(data, plan)
+            monkeypatch.setattr(ot, "_BATCH_PAIRS", 5)  # blocks split rows
+            serial = w2_matrix(data, plan, workers=1)
+            parallel = w2_matrix(data, plan, workers=3)
+            monkeypatch.undo()
+            for other in (default, parallel):
+                assert other.values.tobytes() == serial.values.tobytes()
+                assert other.mask.tobytes() == serial.mask.tobytes()
+            if plan is None:
+                expect = np.ones(iu.size, bool)
+            elif plan.is_entries:
+                expect = np.zeros((n, n), bool)
+                expect[tuple(plan.indices.T)] = True
+                expect = expect[iu, ju]
+            else:
+                expect = np.isin(iu, plan.indices) | np.isin(ju, plan.indices)
+            np.testing.assert_array_equal(serial.mask[iu, ju], expect)
+            assert (serial.values[iu[~expect], ju[~expect]] == 0).all()
+            for i, j in zip(iu[expect].tolist(), ju[expect].tolist()):
+                assert serial.values[i, j] == w2_squared(data[i], data[j]), (name, i, j)
+            assert serial.mask[i0, j0] and serial.mask[i1, j1]
 
 
 class TestW2Matrix:
