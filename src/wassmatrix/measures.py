@@ -40,10 +40,12 @@ class DiscreteMeasure:
 
     ``points`` has shape (m, n) and ``weights`` shape (m,).  Construction
     rejects non-finite points and negative or non-finite weights, drops
-    zero-weight atoms, and normalizes the remaining weights to sum to 1.
-    Both are kept as read-only C-contiguous copies: the solvers' sums
-    (cdist, ``weights @ points``) can round differently on strided
-    arrays.  Instances are immutable.
+    zero-weight atoms, and divides the remaining weights by their sum
+    unless it is already within ``_WEIGHT_TOL`` of 1: weights a measure
+    holds (and ``save_measure`` writes) come back as the same bits.  Both
+    are kept as read-only C-contiguous copies: the solvers' sums (cdist,
+    ``weights @ points``) can round differently on strided arrays.
+    Instances are immutable.
     """
 
     points: np.ndarray
@@ -70,9 +72,13 @@ class DiscreteMeasure:
             if not keep.any():
                 raise InvariantViolation("measure has no positive-weight atom")
             pts, w = pts[keep], w[keep]
-        w = w / w.sum()
-        if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise InvariantViolation("weights failed to normalize")
+        total = w.sum()
+        if abs(total - 1.0) <= _WEIGHT_TOL:  # weights that sum to 1 stay
+            w = np.array(w)  # our own C-contiguous copy
+        else:
+            w = w / total
+            if abs(w.sum() - 1.0) > _WEIGHT_TOL:
+                raise InvariantViolation("weights failed to normalize")
         object.__setattr__(self, "points", freeze(pts))
         object.__setattr__(self, "weights", freeze(w))
 
@@ -274,7 +280,12 @@ def load_measure(path) -> DiscreteMeasure:
     skipped; any malformed line or invalid measure raises a
     ``FormatError`` that names the file."""
     with open(path, "rb") as fh:  # a text-mode stream costs more to open
-        rows = [ln for ln in fh.read().decode("ascii").splitlines() if ln.strip()]
+        raw = fh.read()
+    try:
+        rows = [ln for ln in raw.decode("ascii").splitlines() if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not ASCII text: byte {raw[exc.start]:#04x} "
+                          f"at offset {exc.start}") from exc
     if not rows:
         raise FormatError(f"{path}: empty measure file")
     head = rows[0].split()

@@ -23,13 +23,15 @@ column set).  Pairs of uniform measures with the same small atom count
 m <= 4 and dimension are solved in the calling process, many at once:
 their optimum sits at a permutation vertex (Birkhoff-von Neumann), so
 the minimum over all m! permutation couplings is exact.  One broadcast
-kernel serves row blocks of a group against its later members (written
-straight into the upper triangle) and pair lists alike, and it sums in
-the order the single-pair route does, so both give the same bits.  Only
-the remaining pairs are listed and solved one by one by ``w2_squared``,
-optionally fanned out over a process pool.  Entries are pure functions
-of the two measures (the first one of a pair i < j always mu_i), so
-the result is identical for any worker count.
+kernel, summing in the order the single-pair route does (so both give
+the same bits), walks two ways.  The full matrix takes each group's
+triangle in row blocks, written straight into the upper triangle; a
+plan, entries or columns alike, is its pair list, and the batched pairs
+of that list are gathered into the kernel.  Only the remaining pairs
+are listed and solved one by one by ``w2_squared``, optionally fanned
+out over a process pool.  Entries are pure functions of the two
+measures (the first one of a pair i < j always mu_i), so the result is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -321,35 +323,26 @@ def _batch_groups(data: MeasureDataset):
     return group, members, stacks
 
 
-def _fill_group(values: np.ndarray, ks: np.ndarray, stack: np.ndarray,
-                sampled: np.ndarray | None) -> None:
-    """Write a batch group's pairs into the upper triangle of ``values``,
-    row block by row block: every pair (ks[t], ks[u]), t < u, when
-    ``sampled`` is None, else those in which member t or u is sampled
-    (a bool per member).  The earlier member of a pair is always x.
-
-    A row block t in [a, b) takes its later sampled members u as y, and
-    for a column plan also its earlier sampled members as x.  Block
-    entries on or below the diagonal are written as zeros, which is what
-    those entries hold until ``_mirror_upper``.
-    """
-    g = ks.size
-    cols = np.arange(g) if sampled is None else np.flatnonzero(sampled)
+def _triangle_rows(n: int):
+    """Row blocks [a, b) of the strict upper triangle of an n x n array,
+    each of at most ``_BATCH_PAIRS`` pairs (a whole row at least): row a
+    has the most pairs of its block."""
     a = 0
-    while a < g and cols.size:
-        per_row = g - 1 - a if sampled is None else 2 * cols.size
-        b = min(a + max(1, _BATCH_PAIRS // max(per_row, 1)), g)
-        t = np.arange(a, b)
-        later = cols[cols > a]
-        block = _permutation_minimum(stack[a:b, None], stack[None, later])
-        values[np.ix_(ks[a:b], ks[later])] = np.where(t[:, None] < later,
-                                                       block, 0.0)
-        if sampled is not None:
-            earlier = cols[cols < b - 1]
-            block = _permutation_minimum(stack[earlier, None], stack[None, a:b])
-            values[np.ix_(ks[earlier], ks[a:b])] = np.where(
-                earlier[:, None] < t, block, 0.0)
+    while a < n - 1:
+        b = min(a + max(1, _BATCH_PAIRS // (n - 1 - a)), n - 1)
+        yield a, b
         a = b
+
+
+def _fill_group(values: np.ndarray, ks: np.ndarray, stack: np.ndarray) -> None:
+    """Write every pair (ks[t], ks[u]), t < u, of a batch group into the
+    upper triangle of ``values``, one row block of ``_triangle_rows`` at
+    a time, the earlier member as x.  A block's entries on or below the
+    diagonal are written as zeros, which is what those entries hold
+    until ``_mirror_upper``."""
+    for a, b in _triangle_rows(ks.size):
+        values[np.ix_(ks[a:b], ks[a:])] = np.triu(
+            _permutation_minimum(stack[a:b, None], stack[None, a:]), 1)
 
 
 def _mirror_upper(a: np.ndarray) -> None:
@@ -382,8 +375,10 @@ def _pool_solve(pairs: np.ndarray) -> np.ndarray:
 
 
 def _required_pairs(n: int, plan: SamplePlan) -> np.ndarray:
+    """The (k, 2) pairs (i, j), i < j, a plan computes, in row-major
+    order; the one place assembly reads the plan's kind."""
     if plan.is_entries:
-        return plan.indices.copy()
+        return plan.indices
     # the pairs (i, j), i < j, with i or j in I, in row-major order: the
     # c(c-1)/2 pairs inside I and the c(N-c) pairs of I with the rest
     cols = np.zeros(n, bool)
@@ -397,22 +392,18 @@ def _required_pairs(n: int, plan: SamplePlan) -> np.ndarray:
     return np.column_stack(np.divmod(keys, n))
 
 
-def _pair_blocks(n: int, plan: SamplePlan | None):
+def _pair_blocks(n: int, pairs: np.ndarray | None):
     """The pairs (i, j), i < j, to compute, in row-major order, as
-    (ii, jj) blocks of at most ``_BATCH_PAIRS`` pairs (a whole row at
-    least): the upper triangle walked in row blocks when ``plan`` is
-    None, else the plan's pairs."""
-    if plan is not None:
-        pairs = _required_pairs(n, plan)
+    (ii, jj) blocks of at most ``_BATCH_PAIRS`` pairs: the upper triangle
+    walked in the row blocks of ``_triangle_rows`` when ``pairs`` is
+    None, else the (k, 2) list ``pairs`` in slices."""
+    if pairs is not None:
         for start in range(0, pairs.shape[0], _BATCH_PAIRS):
             yield pairs[start:start + _BATCH_PAIRS].T
         return
-    start = 0
-    while start < n - 1:  # row start has the most pairs of its block
-        stop = min(start + max(1, _BATCH_PAIRS // (n - 1 - start)), n - 1)
-        rows, jj = np.nonzero(np.arange(n) > np.arange(start, stop)[:, None])
-        yield rows + start, jj
-        start = stop
+    for a, b in _triangle_rows(n):
+        rows, jj = np.nonzero(np.arange(n) > np.arange(a, b)[:, None])
+        yield rows + a, jj
 
 
 def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
@@ -427,10 +418,12 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
 
     Uniform measures with equal atom count m <= 4 and equal dimension
     form a batch group, whose pairs are solved in the calling process by
-    a vectorised permutation minimum.  For a full or column plan each
-    group writes its pairs straight into the N x N values as row blocks
-    of at most ``_BATCH_PAIRS`` entries, without listing them; an entry
-    plan's pairs go through the same kernel in blocks of as many pairs.
+    a vectorised permutation minimum.  Without a plan each group writes
+    its pairs straight into the N x N values as row blocks of at most
+    ``_BATCH_PAIRS`` entries, without listing them (``_fill_group``).  A
+    plan's pairs are listed once by ``_required_pairs``, which also
+    gives the mask (the diagonal and those pairs, mirrored), and its
+    batched pairs go through the same kernel in slices of as many pairs.
     Only the pairs not inside one group are listed, in row-major order
     into one array, and solved one by one by ``w2_squared``, distributed
     over ``workers`` processes when at least 2 * workers of them are
@@ -442,41 +435,34 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
         raise ValueError("workers must be >= 1")
     if plan is not None and plan.size != n:
         raise UsageError(f"plan is for size {plan.size}, dataset has {n}")
-    entries = plan is not None and plan.is_entries
     values = np.zeros((n, n))
-    if plan is None:
-        mask = np.ones((n, n), bool)
-    else:
-        mask = np.eye(n, dtype=bool)
-        if entries:
-            ii, jj = plan.indices.T
-            mask[ii, jj] = mask[jj, ii] = True
-        else:
-            mask[plan.indices] = mask[:, plan.indices] = True
     group, members, stacks = _batch_groups(data)
-    if not entries:
-        sampled = None
-        if plan is not None:
-            sampled = np.zeros(n, bool)
-            sampled[plan.indices] = True
+    if plan is None:
+        pairs = None
+        mask = np.ones((n, n), bool)
         for ks, stack in zip(members, stacks):
-            _fill_group(values, ks, stack,
-                        None if sampled is None else sampled[ks])
+            _fill_group(values, ks, stack)
+    else:
+        pairs = _required_pairs(n, plan)
+        mask = np.eye(n, dtype=bool)
+        ii, jj = pairs.T
+        mask[ii, jj] = mask[jj, ii] = True
     rest = [np.empty((0, 2), np.int64)]
-    if entries or (group != 0).any():  # else every pair is in group 0
+    if pairs is not None or (group != 0).any():  # else group 0 holds every pair
         local = np.zeros(n, np.int64)
         for ks in members:
             local[ks] = np.arange(ks.size)
-        for ii, jj in _pair_blocks(n, plan):
+        for ii, jj in _pair_blocks(n, pairs):
             gi = group[ii]
             batched = (gi >= 0) & (gi == group[jj])
-            if entries:
+            if pairs is not None:  # a plan's batched pairs, gathered
                 for g, stack in enumerate(stacks):
                     sel = np.flatnonzero(batched & (gi == g))
                     if sel.size:
                         bi, bj = ii[sel], jj[sel]
-                        values[bi, bj] = _permutation_minimum(
-                            stack[local[bi]], stack[local[bj]])
+                        # take copies (m, d) rows ~10x faster than stack[idx]
+                        x, y = (np.take(stack, local[k], 0) for k in (bi, bj))
+                        values[bi, bj] = _permutation_minimum(x, y)
             rest.append(np.column_stack([ii[~batched], jj[~batched]]))
     todo = np.concatenate(rest)
     del rest  # one list of the remaining pairs lives through the solve

@@ -154,6 +154,17 @@ class TestSynthAndDist:
         assert solves == []
         assert not list(tmp_path.glob("x*"))
 
+    def test_non_ascii_measure_file_exits_1_naming_it(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run("synth", "--spec", "translations:rand12", "--out", data_dir) == 0
+        bad = data_dir / "measure_0003.txt"
+        bad.write_bytes(b"2 2\n0.5 0.0 0.0\n0.5 1.0 \xc3\xa9\n")
+        capsys.readouterr()
+        assert run("dist", "--data", data_dir, "--full", "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (
+            f"wassmatrix: error: {bad}: not ASCII text: byte 0xc3 at offset 24\n")
+        assert not list(tmp_path.glob("x*"))
+
     def test_mode_exclusivity(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         run("synth", "--spec", "translations:grid2", "--out", data_dir)

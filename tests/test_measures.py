@@ -30,6 +30,20 @@ class TestDiscreteMeasure:
         assert abs(mu.weights.sum() - 1.0) <= 1e-12
         np.testing.assert_allclose(mu.weights, [0.25, 0.75])
 
+    def test_normalized_weights_kept_as_given(self):
+        # weights that sum to 1 within _WEIGHT_TOL are not divided by
+        # their sum again (that moves about half of such vectors by an
+        # ulp); the measure keeps a C-contiguous copy of its own
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            w = rng.random(7)
+            w /= w.sum()
+            for given in (w, np.repeat(w, 2)[::2]):
+                mu = DiscreteMeasure(rng.normal(size=(7, 2)), given)
+                assert mu.weights.tobytes() == w.tobytes()
+                assert mu.weights.flags.c_contiguous
+                assert not np.shares_memory(mu.weights, given)
+
     def test_zero_weight_atoms_dropped(self):
         mu = DiscreteMeasure([[0.0], [1.0], [2.0]], [1.0, 0.0, 1.0])
         assert mu.num_atoms == 2
@@ -258,6 +272,14 @@ class TestMeasureFiles:
             with pytest.raises(FormatError):
                 load_measure(p)
 
+    def test_non_ascii_byte_names_its_file(self, tmp_path):
+        bad = tmp_path / "m.txt"
+        bad.write_bytes("2 1\n1.0 0.0 \u00e9\n".encode())
+        with pytest.raises(FormatError) as info:
+            load_measure(bad)
+        assert str(info.value) == f"{bad}: not ASCII text: byte 0xc3 at offset 12"
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
     @pytest.mark.parametrize("line, message", [
         ("-0.5 0.0 1.0", "weights must be finite and nonnegative"),
         ("0.5 nan 1.0", "points must be finite"),
@@ -277,10 +299,11 @@ class TestMeasureFiles:
     def test_grid_images_load_bit_equal(self, tmp_path):
         # non-uniform weights of pixel intensities, as the image workloads
         # write them.  The file holds the saved arrays exactly (repr), and
-        # the constructor normalizes the weights again on reading, so
+        # the constructor keeps weights that already sum to 1, so
         # load_dataset gives what the constructor gives the saved arrays,
         # as C-contiguous float64 arrays, and so does an independent
-        # parse of each file; the matrix keeps its bytes
+        # parse of each file; the matrix keeps its bytes and equals the
+        # in-memory dataset's
         rng = np.random.default_rng(71)
         images = []
         for _ in range(8):
@@ -303,8 +326,11 @@ class TestMeasureFiles:
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
             expect.append(again)
+            assert nu.weights.tobytes() == mu.weights.tobytes()  # as saved
         assert (w2_matrix(back).values.tobytes()
                 == w2_matrix(MeasureDataset(expect)).values.tobytes())
+        assert (w2_matrix(back).values.tobytes()
+                == w2_matrix(MeasureDataset(images)).values.tobytes())
 
     def test_dataset_round_trip_with_labels(self, tmp_path):
         data = synthetic_dataset("classes3:rand9", 2)

@@ -539,8 +539,8 @@ def mixed_batch_dataset(rng, dim):
 
 class TestBatchedPlans:
     """Every plan's batched entries against the pair route, bit for bit:
-    row blocks of a group, both halves of a column block and entry lists
-    all take the earlier measure of a pair as x."""
+    the row blocks of a group's full triangle and the pair lists of
+    column and entry plans all take the earlier measure of a pair as x."""
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_every_plan_matches_the_pair_route(self, dim, monkeypatch):
@@ -555,8 +555,8 @@ class TestBatchedPlans:
                      and w2_squared(data[i], data[j]) != w2_squared(data[j], data[i])]
         i0, j0 = sensitive[0]
         i1, j1 = next(p for p in sensitive if not {i0, j0} & set(p))
-        # the column plan reaches (i0, j0) through sampled j0 (the block
-        # below it) and (i1, j1) through sampled i1 (the block right of it)
+        # the column plan lists (i0, j0) through sampled j0, its later
+        # measure, and (i1, j1) through sampled i1, its earlier measure
         extra = sample_columns(n, 6, seed=dim).indices
         cols = {j0, i1} | (set(extra.tolist()) - {i0, j1})
         pairs = set(map(tuple, sample_entries(n, 0.3, seed=dim).indices.tolist()))
