@@ -178,10 +178,9 @@ class DistanceMatrix:
         return self.values.shape[0]
 
     def observed_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (i, j) with i < j of observed off-diagonal entries."""
-        iu, ju = np.triu_indices(self.size, k=1)
-        sel = self.mask[iu, ju]
-        return iu[sel], ju[sel]
+        """Index arrays (i, j) with i < j of observed off-diagonal entries,
+        in row-major order."""
+        return np.nonzero(np.triu(self.mask, 1))
 
 
 def sanitized_rows(rows: np.ndarray, transposed: np.ndarray,

@@ -23,15 +23,16 @@ column set).  Pairs of uniform measures with the same small atom count
 m <= 4 and dimension are solved in the calling process, many at once:
 their optimum sits at a permutation vertex (Birkhoff-von Neumann), so
 the minimum over all m! permutation couplings is exact.  One broadcast
-kernel, summing in the order the single-pair route does (so both give
-the same bits), walks two ways.  The full matrix takes each group's
-triangle in row blocks, written straight into the upper triangle; a
-plan, entries or columns alike, is its pair list, and the batched pairs
-of that list are gathered into the kernel.  Only the remaining pairs
-are listed and solved one by one by ``w2_squared``, optionally fanned
-out over a process pool.  Entries are pure functions of the two
-measures (the first one of a pair i < j always mu_i), so the result is
-identical for any worker count.
+kernel, ``_permutation_minimum``, which ``w2_squared`` calls for a
+single such pair too, walks two ways.  The full matrix takes each
+group's triangle in row blocks; a plan, entries or columns alike, is
+its pair list, and the batched pairs of that list are gathered into the
+kernel.  Only the remaining pairs are listed and solved one by one by
+``w2_squared``, optionally fanned out over a process pool.  Each value
+is written into both triangles as it is computed, so no pass over the
+whole matrix follows.  Entries are pure functions of the two measures
+(the first one of a pair i < j always mu_i), so the result is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.spatial.distance import cdist
 
 from .errors import SolverFailure, UsageError
-from .matrixio import DistanceMatrix, MatrixKind, freeze, row_blocks
+from .matrixio import DistanceMatrix, MatrixKind, freeze
 from .measures import DiscreteMeasure, MeasureDataset, uniform_weights
 from .sampling import SamplePlan
 
@@ -54,10 +55,11 @@ from .sampling import SamplePlan
 # 29 us at 6 and 100 us at 7, against ~35 us through linear_sum_assignment.
 _BATCH_MAX_ATOMS = 4
 # Pairs per vectorised block; bounds its temporaries (about 80 bytes a
-# pair at m = d = 2).  For N = 1000 two-atom measures on one core, the
-# full w2_matrix took 28-35, 19-20 and 18-22 ms at 2048, 8192 and 32768
-# in two runs, with tracemalloc peaks of 9.2, 9.7 and 11.3 MB (the
-# values and mask are 9 MB).
+# pair at m = d = 2).  Full w2_matrix of two-atom measures, one core,
+# median ms at 2048/8192/32768: 46/28/27 and 38/26/27 in two runs at
+# N = 1000, 288/224/215 at N = 3000.  32768 also lifts a 40-column
+# plan's tracemalloc peak at N = 800 from 1.34 to 1.97 times its values
+# and mask.
 _BATCH_PAIRS = 8192
 # Nearest atoms per row and per column in the LP's first arc set.  On
 # 60-pixel blob pairs it keeps about 20% of the arcs and needs at most
@@ -71,20 +73,6 @@ def cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     if mu.dimension != nu.dimension:
         raise UsageError(f"measures live in R^{mu.dimension} and R^{nu.dimension}")
     return cdist(mu.points, nu.points, "sqeuclidean")
-
-
-def _vertex_minimum(cost):
-    """Exact W2^2 of uniform m-atom pairs from their m x m squared costs,
-    cost[r][s] a number or one array over many pairs: the minimum over
-    all m! permutation couplings, each summed over rows in index order."""
-    m = len(cost)
-    best = None
-    for perm in itertools.permutations(range(m)):
-        total = cost[0][perm[0]]
-        for r in range(1, m):
-            total = total + cost[r][perm[r]]
-        best = total if best is None else np.minimum(best, total)
-    return best / m
 
 
 def _north_west(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,22 +195,23 @@ def _solve_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray,
 def w2_squared(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact W2(mu, nu)^2.  One atom on either side forces the coupling,
     square uniform instances are assignment problems (up to
-    ``_BATCH_MAX_ATOMS`` atoms solved by the permutation minimum
-    ``w2_matrix`` batches) and the rest go to the transportation LP,
+    ``_BATCH_MAX_ATOMS`` atoms solved by ``_permutation_minimum``, the
+    kernel ``w2_matrix`` batches) and the rest go to the transportation LP,
     started from the ``_shortlist`` arcs and priced until the reduced
     costs certify the full LP's optimum.  Its value lies within about
     1e-15 relative of the LP solved on every arc, not always on the same
     bits."""
-    cost = cost_matrix(mu, nu)
     a, b = mu.weights, nu.weights
-    m, n = cost.shape
+    m, n = mu.num_atoms, nu.num_atoms
+    square = m == n and uniform_weights(a) and uniform_weights(b)
+    if square and m <= _BATCH_MAX_ATOMS and mu.dimension == nu.dimension:
+        return float(_permutation_minimum(mu.points, nu.points))
+    cost = cost_matrix(mu, nu)
     if m == 1:  # coupling is forced by the column marginal
         return float(cost[0] @ b)
     if n == 1:
         return float(cost[:, 0] @ a)
-    if m == n and uniform_weights(a) and uniform_weights(b):
-        if m <= _BATCH_MAX_ATOMS:
-            return float(_vertex_minimum(cost))
+    if square:
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / m)
     return _solve_lp(cost, a, b, _shortlist(mu, nu))
@@ -279,14 +268,16 @@ def w2_squared_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
 
 def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact W2^2 of uniform m-atom pairs, x and y (..., m, d) arrays that
-    broadcast: a pair list (B, m, d) against (B, m, d), or a row block
-    (R, 1, m, d) against (1, C, m, d).  x is the first measure of each pair.
+    broadcast: one pair (m, d) against (m, d), a pair list (B, m, d)
+    against (B, m, d), or a row block (R, 1, m, d) against (1, C, m, d).
+    x is the first measure of each pair.
 
-    Each of the m^2 costs is one plane over the whole block, its squared
-    gaps summed over coordinates in index order from the first, as cdist
-    sums them, so ``_vertex_minimum`` of the planes gives the bits
-    ``w2_squared`` gives.  It sums each coupling over the rows of x, so
-    for m >= 3 swapping x and y may change the last bit.
+    Each of the m^2 squared costs is one plane over the whole block, its
+    squared gaps summed over coordinates in index order from the first.
+    The value is the minimum over all m! permutation couplings, each
+    summed over the rows of x in index order, so for m >= 3 swapping x
+    and y may change the last bit.  ``w2_squared`` and ``w2_matrix``
+    both call it, so a pair has the same bits on either route.
     """
     m, d = x.shape[-2:]
     cost = [[None] * m for _ in range(m)]
@@ -298,7 +289,13 @@ def _permutation_minimum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             gap *= gap
             plane += gap
         cost[r][s] = plane
-    return _vertex_minimum(cost)
+    best = None
+    for perm in itertools.permutations(range(m)):
+        total = cost[0][perm[0]]
+        for r in range(1, m):
+            total = total + cost[r][perm[r]]
+        best = total if best is None else np.minimum(best, total)
+    return best / m
 
 
 def _batch_groups(data: MeasureDataset):
@@ -335,24 +332,19 @@ def _triangle_rows(n: int):
 
 
 def _fill_group(values: np.ndarray, ks: np.ndarray, stack: np.ndarray) -> None:
-    """Write every pair (ks[t], ks[u]), t < u, of a batch group into the
-    upper triangle of ``values``, one row block of ``_triangle_rows`` at
-    a time, the earlier member as x.  A block's entries on or below the
-    diagonal are written as zeros, which is what those entries hold
-    until ``_mirror_upper``."""
+    """Write every pair (ks[t], ks[u]), t < u, of a batch group into both
+    triangles of ``values``, one row block [a, b) of ``_triangle_rows``
+    at a time, the earlier member as x: the block's square (members a to
+    b against themselves) as its strict upper triangle plus that
+    triangle's transpose, the rectangle beyond it as it is and
+    transposed."""
     for a, b in _triangle_rows(ks.size):
-        values[np.ix_(ks[a:b], ks[a:])] = np.triu(
-            _permutation_minimum(stack[a:b, None], stack[None, a:]), 1)
-
-
-def _mirror_upper(a: np.ndarray) -> None:
-    """Copy the strict upper triangle of the square ``a`` onto its lower
-    triangle, in row blocks."""
-    for start, stop in row_blocks(a.shape[0]):
-        a[start:stop, :start] = a[:start, start:stop].T
-        square = a[start:stop, start:stop]
-        below = np.tril_indices(stop - start, -1)
-        square[below] = square.T[below]
+        block = _permutation_minimum(stack[a:b, None], stack[None, a:])
+        square = np.triu(block[:, :b - a], 1)
+        rows, rest = ks[a:b], ks[b:]
+        values[np.ix_(rows, rows)] = square + square.T
+        values[np.ix_(rows, rest)] = block[:, b - a:]
+        values[np.ix_(rest, rows)] = block[:, b - a:].T
 
 
 def _solve_pairs(measures: tuple, pairs: np.ndarray) -> np.ndarray:
@@ -413,8 +405,8 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
     ``plan=None`` computes all N(N-1)/2 upper-triangle entries.  An entry
     plan computes exactly its pairs; a column plan computes every entry
     in the sampled columns (and, by symmetry, rows).  Each pair (i, j),
-    i < j, is solved with mu_i first and written into the upper triangle,
-    which is mirrored onto the lower one once at the end.
+    i < j, is solved with mu_i first and its value written to (i, j) and
+    (j, i) at once, so no pass over the whole matrix follows.
 
     Uniform measures with equal atom count m <= 4 and equal dimension
     form a batch group, whose pairs are solved in the calling process by
@@ -462,7 +454,7 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
                         bi, bj = ii[sel], jj[sel]
                         # take copies (m, d) rows ~10x faster than stack[idx]
                         x, y = (np.take(stack, local[k], 0) for k in (bi, bj))
-                        values[bi, bj] = _permutation_minimum(x, y)
+                        values[bi, bj] = values[bj, bi] = _permutation_minimum(x, y)
             rest.append(np.column_stack([ii[~batched], jj[~batched]]))
     todo = np.concatenate(rest)
     del rest  # one list of the remaining pairs lives through the solve
@@ -474,7 +466,6 @@ def w2_matrix(data: MeasureDataset, plan: SamplePlan | None = None,
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(data.measures,)) as pool:
             vals = np.concatenate(list(pool.map(_pool_solve, chunks)))
-    values[todo[:, 0], todo[:, 1]] = vals
-    _mirror_upper(values)
+    values[todo[:, 0], todo[:, 1]] = values[todo[:, 1], todo[:, 0]] = vals
     kind = MatrixKind.FULL if mask.all() else MatrixKind.PARTIAL
     return DistanceMatrix(freeze(values), freeze(mask), kind)

@@ -1,6 +1,7 @@
 """Static checks of the package source, standard library only."""
 
 import ast
+import re
 from pathlib import Path
 
 import wassmatrix
@@ -110,3 +111,42 @@ def test_an_unused_private_name_is_found():
     assert unreferenced_private_names(sources) == [
         ("a.py", 3, "_SPARE"), ("a.py", 4, "_spare"), ("a.py", 8, "_orphan"),
         ("b.py", 3, "_unused")]
+
+
+# ``_name`` in double backquotes, a private name (dunders are not)
+_CITED = re.compile(r"``(_(?!_)\w*)``")
+
+
+def undefined_cited_names(sources: dict) -> list:
+    """Private names that a docstring or comment of ``sources`` (file name
+    to source text) cites as ``_name`` but that no module of ``sources``
+    defines at module level, as (file, line, name).  Double backquotes
+    occur in Python source only inside strings and comments, so the
+    whole text is searched."""
+    defined = {name for text in sources.values()
+               for _, name in private_definitions(ast.parse(text))}
+    return sorted((file, text.count("\n", 0, hit.start()) + 1, hit[1])
+                  for file, text in sources.items()
+                  for hit in _CITED.finditer(text) if hit[1] not in defined)
+
+
+def test_every_private_name_cited_in_src_is_defined():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert undefined_cited_names(sources) == []
+
+
+def test_a_stale_private_name_is_found():
+    sources = {
+        "a.py": ('"""Uses ``_helper`` and ``b._LIMIT``; ``__all__`` and\n'
+                 '``run`` are no private names."""\n'
+                 "__all__ = ['run']\n"
+                 "def _helper():\n"
+                 '    """Was ``_retired``."""\n'
+                 "    return 0\n"
+                 "def run():\n"
+                 "    return _helper()  # mirrors as ``_gone`` did\n"),
+        "b.py": ("_LIMIT = 3  # read by ``_helper`` of a.py\n"
+                 "X = 1  # see ``_old_name``\n"),
+    }
+    assert undefined_cited_names(sources) == [
+        ("a.py", 5, "_retired"), ("a.py", 8, "_gone"), ("b.py", 2, "_old_name")]

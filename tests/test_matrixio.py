@@ -652,6 +652,27 @@ class TestPeakMemory:
         assert m.kind is MatrixKind.PARTIAL
         assert peak < 1.5 * (m.values.nbytes + m.mask.nbytes)
 
+    def test_observed_pairs_lists_no_full_triangle(self):
+        # the pairs of a 10% mask, in row-major order, with no int64 index
+        # list over all N(N-1)/2 upper entries (8 bytes per mask byte)
+        n = 2000
+        rng = np.random.default_rng(52)
+        mask = np.triu(rng.random((n, n)) < 0.1, 1)
+        mask |= mask.T
+        np.fill_diagonal(mask, True)
+        part = DistanceMatrix.partial(np.zeros((n, n)), mask)
+        tracemalloc.start()
+        try:
+            ii, jj = part.observed_pairs()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        iu, ju = np.triu_indices(n, 1)
+        sel = mask[iu, ju]
+        assert np.array_equal(ii, iu[sel]) and np.array_equal(jj, ju[sel])
+        assert ii.dtype == iu.dtype and jj.dtype == ju.dtype
+        assert peak < 2 * mask.nbytes + ii.nbytes + jj.nbytes
+
     def test_dense_column_estimate_is_filled_in_place(self):
         # matrix() of an ESTIMATED block writes its row blocks into the one
         # N x N array: no N x N product or sanitized copy beside it
