@@ -49,4 +49,4 @@ class SolverFailure(NumericalError):
 
 
 class Diverged(NumericalError):
-    """The completion residual grew for the configured patience window."""
+    """The completion residual became non-finite (NaN or infinite)."""

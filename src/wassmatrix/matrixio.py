@@ -34,12 +34,13 @@ entry) or the sanitized estimate ``ColumnBlock.estimate_rows`` gives
 expand=False)`` returns a column file as its ``ColumnBlock``, without
 forming the N x N matrix; a dense file comes back as it is.
 
-Each N x N array is made once.  A ``DistanceMatrix`` copies an input
-array only while a caller can still write it; the producers
-(``ot.w2_matrix``, ``load``, ``sanitized_estimate``,
-``ColumnBlock.matrix``) hand theirs over frozen, and a dense ``load``
-keeps values and mask as views of the bytes it read, as ``save``
-writes each array from its own memory.  The invariant checks and
+Each N x N array is made once.  ``DistanceMatrix``, ``ColumnBlock``
+and ``SamplePlan`` copy an input only while a caller can still write
+it (``_frozen``).  The producers (``ot.w2_matrix``, ``load``,
+``sanitized_estimate``, ``ColumnBlock.matrix`` and ``from_matrix``)
+hand theirs over frozen, and ``load`` keeps the arrays of either
+layout as views of the bytes it read, as ``save`` writes each array
+from its own memory.  The invariant checks and
 ``relative_error`` of a column estimate work in row blocks of at most
 ``BLOCK_ENTRIES`` entries instead of N x N temporaries.
 """

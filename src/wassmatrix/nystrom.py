@@ -9,11 +9,11 @@ cut), and the estimate is (C P_r L_r^-1)(C P_r)^T.  When rank(U)
 equals rank(D) the product reproduces D exactly.  The product is the
 estimate: sampled rows/columns are not re-imposed on it.
 
-:class:`ColumnBlock` is the one column type: C and I, checked once, with
-P_r and 1 / lambda_r from the one ``eigh`` of the core taken when the
-block is built.  A PARTIAL block is the computed columns of any column
-plan (FULL once c >= N - 1), an ESTIMATED one the estimate C U^+ C^T
-that :func:`complete_nystrom` makes of it, factors kept.  ``matrixio``
+:class:`ColumnBlock` is the one column type: C and I, checked once.  A
+PARTIAL block is the computed columns of any column plan (FULL once
+c >= N - 1), an ESTIMATED one the estimate C U^+ C^T with P_r and
+1 / lambda_r, which :func:`complete_nystrom` makes of it: building an
+ESTIMATED block is the one place a core is decomposed.  ``matrixio``
 saves and loads either as the ``W2DCOL01`` layout, and
 ``embedding.spectrum`` embeds an ESTIMATED block in O(N c r).  Every
 entry of the estimate comes from :meth:`ColumnBlock.estimate_rows`,
@@ -26,7 +26,6 @@ embeddings.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from scipy.optimize import minimize
 
 from .errors import InvariantViolation, NumericalError, UsageError
 from .matrixio import CENTER_TOL, DistanceMatrix, MatrixKind
-from .matrixio import freeze, row_blocks, sanitized_rows
+from .matrixio import _frozen, freeze, row_blocks, sanitized_rows
 
 PINV_TOLERANCE = 1e-10  # core |eigenvalues| up to this * the largest are cut
 
@@ -53,27 +52,28 @@ class ColumnBlock:
     :func:`complete_nystrom` makes of a PARTIAL block and ``matrixio``
     reads back from its file.  The kind has no default.
 
-    The one symmetric eigendecomposition of the core is taken when the
-    block is built and truncated at ``PINV_TOLERANCE``:
+    An ESTIMATED block takes the one symmetric eigendecomposition of
+    the core when it is built, truncated at ``PINV_TOLERANCE``:
     ``core_vectors`` holds the r kept eigenvectors P_r (c x r) and
     ``core_inverse_eigenvalues`` their 1 / lambda_r, so that
     U^+ = P_r diag(1 / lambda_r) P_r^T; ``core_singular_values`` is the
     core's spectrum |lambda| in descending order and ``effective_rank``
-    is r.
+    is r; a PARTIAL block has None for each.  Like ``DistanceMatrix``,
+    it copies C and I only while a caller can still write them, so an
+    estimate shares them with its block and a loaded C views the file.
     """
 
     columns: np.ndarray
     indices: np.ndarray
     kind: MatrixKind
     core: np.ndarray
-    core_vectors: np.ndarray
-    core_inverse_eigenvalues: np.ndarray
-    core_singular_values: np.ndarray
-    effective_rank: int
+    core_vectors: np.ndarray | None
+    core_inverse_eigenvalues: np.ndarray | None
+    core_singular_values: np.ndarray | None
 
     def __init__(self, columns, indices, kind: MatrixKind):
-        columns = np.array(columns, dtype=np.float64)
-        indices = np.array(indices, dtype=np.int64)
+        columns = _frozen(columns, np.float64)
+        indices = _frozen(indices, np.int64)
         kind = MatrixKind(kind)
         if kind is MatrixKind.FULL:
             raise InvariantViolation("columns stand for a PARTIAL or ESTIMATED matrix")
@@ -94,17 +94,18 @@ class ColumnBlock:
             raise InvariantViolation("core C(I, :) must be exactly symmetric")
         if np.any(np.diagonal(core) != 0.0):
             raise InvariantViolation("core diagonal must be zero")
+        vectors = inverse = sigma = None
         if kind is MatrixKind.ESTIMATED:
-            _check_core(core, columns)
-        vectors, inverse, sigma = _truncated_eigh(core, PINV_TOLERANCE)
-        object.__setattr__(self, "columns", freeze(columns))
-        object.__setattr__(self, "indices", freeze(indices))
+            if not np.any(core) and np.any(columns):
+                raise NumericalError("core block is identically zero")
+            vectors, inverse, sigma = map(freeze, _truncated_eigh(core, PINV_TOLERANCE))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "core", freeze(core))
-        object.__setattr__(self, "core_vectors", freeze(vectors))
-        object.__setattr__(self, "core_inverse_eigenvalues", freeze(inverse))
-        object.__setattr__(self, "core_singular_values", freeze(sigma))
-        object.__setattr__(self, "effective_rank", inverse.size)
+        object.__setattr__(self, "core_vectors", vectors)
+        object.__setattr__(self, "core_inverse_eigenvalues", inverse)
+        object.__setattr__(self, "core_singular_values", sigma)
 
     @property
     def size(self) -> int:
@@ -113,6 +114,12 @@ class ColumnBlock:
     @property
     def count(self) -> int:
         return self.indices.shape[0]
+
+    @property
+    def effective_rank(self) -> int | None:
+        """r, the eigenpairs of the core an estimate keeps (None if PARTIAL)."""
+        inverse = self.core_inverse_eigenvalues
+        return None if inverse is None else inverse.size
 
     @staticmethod
     def from_matrix(matrix: DistanceMatrix, indices) -> "ColumnBlock":
@@ -124,7 +131,8 @@ class ColumnBlock:
             raise InvariantViolation("column indices out of range")
         if matrix.kind is MatrixKind.PARTIAL and not matrix.mask[:, indices].all():
             raise InvariantViolation("matrix does not observe all requested columns")
-        return ColumnBlock(matrix.values[:, indices], indices, MatrixKind.PARTIAL)
+        return ColumnBlock(freeze(matrix.values.take(indices, axis=1)), indices,
+                           MatrixKind.PARTIAL)
 
     def estimate_rows(self):
         """The sanitized Nystrom estimate C U^+ C^T in (start, stop, rows)
@@ -167,13 +175,6 @@ class ColumnBlock:
         return DistanceMatrix(freeze(values), freeze(mask), kind)
 
 
-def _check_core(core: np.ndarray, columns: np.ndarray) -> None:
-    """An estimate needs a core that is not identically zero (unless the
-    columns are: then the estimate is zero)."""
-    if not np.any(core) and np.any(columns):
-        raise NumericalError("core block is identically zero")
-
-
 def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):
     """Kept eigenvectors, their inverse eigenvalues and the descending
     |eigenvalues| of one symmetric ``eigh``; an eigenpair is kept when
@@ -185,16 +186,13 @@ def _truncated_eigh(matrix: np.ndarray, rel_tolerance: float):
 
 
 def complete_nystrom(block: ColumnBlock) -> ColumnBlock:
-    """The Nystrom estimate C U^+ C^T of a block's columns, as the
-    ESTIMATED block of the same C and I with the core's factors kept (no
-    second ``eigh``); an ESTIMATED block is that already.  Its
+    """The Nystrom estimate C U^+ C^T of a block's columns: the ESTIMATED
+    block of the same C and I, whose constructor takes the one ``eigh``
+    of the core; an ESTIMATED block is that already.  Its
     :meth:`ColumnBlock.matrix` is the dense sanitized estimate."""
     if block.kind is MatrixKind.ESTIMATED:
         return block
-    _check_core(block.core, block.columns)
-    estimate = copy.copy(block)
-    object.__setattr__(estimate, "kind", MatrixKind.ESTIMATED)
-    return estimate
+    return ColumnBlock(block.columns, block.indices, MatrixKind.ESTIMATED)
 
 
 def procrustes_distance(Z: np.ndarray, Y: np.ndarray) -> float:

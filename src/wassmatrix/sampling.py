@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvariantViolation, UsageError
-from .matrixio import freeze
+from .matrixio import _frozen
 
 ENTRIES = "entries"
 COLUMNS = "columns"
@@ -40,7 +40,12 @@ class SamplePlan:
     def __init__(self, variant: str, indices, seed: int, size: int):
         if variant not in (ENTRIES, COLUMNS):
             raise InvariantViolation(f"unknown plan variant {variant!r}")
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        integral = idx.size == 0 or idx.dtype.kind in "iu"
+        if not integral or not all(type(v) is int or isinstance(v, np.integer)
+                                   for v in (seed, size)):
+            raise InvariantViolation("plan indices, seed and N must be integers")
+        idx = _frozen(idx, np.int64)
         if variant == ENTRIES:
             if idx.ndim != 2 or idx.shape[1] != 2:
                 raise InvariantViolation("entry plan needs an (m, 2) index array")
@@ -52,14 +57,14 @@ class SamplePlan:
             if np.unique(flat).size != flat.size:
                 raise InvariantViolation("duplicate entry pairs")
         else:
-            if idx.ndim != 1:
-                raise InvariantViolation("column plan needs a 1-D index array")
+            if idx.ndim != 1 or idx.size == 0:
+                raise InvariantViolation("column plan needs a nonempty 1-D index array")
             if (idx < 0).any() or (idx >= size).any():
                 raise InvariantViolation("column index out of range")
             if np.unique(idx).size != idx.size:
                 raise InvariantViolation("duplicate column indices")
         object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "indices", freeze(idx))
+        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "seed", int(seed))
         object.__setattr__(self, "size", int(size))
 

@@ -238,6 +238,24 @@ class TestComplete:
         assert ((tmp_path / "est.report.json").read_text()
                 == (tmp_path / "again.report.json").read_text())
 
+    def test_only_the_estimate_decomposes_its_core(self, datasets, tmp_path,
+                                                   capsys, monkeypatch):
+        calls, truncated_eigh = [], nystrom._truncated_eigh
+
+        def counting(*args):
+            calls.append(args)
+            return truncated_eigh(*args)
+
+        monkeypatch.setattr(nystrom, "_truncated_eigh", counting)
+        assert run("dist", "--data", datasets["classes3_rand24"], "--columns", 5,
+                   "--out", tmp_path / "cols") == 0
+        assert calls == []
+        assert load(tmp_path / "cols.w2m", expand=False).kind is MatrixKind.PARTIAL
+        assert calls == []
+        assert run("complete", "--algorithm", "nystrom",
+                   "--input", tmp_path / "cols.w2m", "--out", tmp_path / "est") == 0
+        assert len(calls) == 1
+
     def test_nystrom_all_zero_input_has_no_condition(self, tmp_path, capsys):
         # an all-zero PARTIAL column file of N = 3, written byte by byte
         (tmp_path / "z.w2m").write_bytes(

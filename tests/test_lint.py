@@ -150,3 +150,48 @@ def test_a_stale_private_name_is_found():
     }
     assert undefined_cited_names(sources) == [
         ("a.py", 5, "_retired"), ("a.py", 8, "_gone"), ("b.py", 2, "_old_name")]
+
+
+def frozen_writes_outside_init(source: str) -> list:
+    """References to ``object.__setattr__`` outside an ``__init__``, as
+    (line, enclosing function or None): a frozen instance is set once,
+    while it is built, and never changed after."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"
+                and function != "__init__"):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_frozen_instances_are_set_only_in_init():
+    found = {path.name: frozen_writes_outside_init(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_a_frozen_write_outside_init_is_found():
+    source = ("import copy\n"
+              "class Point:\n"
+              "    def __init__(self, x):\n"
+              "        object.__setattr__(self, 'x', x)\n"
+              "    def moved(self, dx):\n"
+              "        other = copy.copy(self)\n"
+              "        object.__setattr__(other, 'x', self.x + dx)\n"
+              "        return other\n"
+              "def relabel(point):\n"
+              "    write = object.__setattr__\n"
+              "    write(point, 'x', 0)\n"
+              "ORIGIN = Point(0)\n"
+              "object.__setattr__(ORIGIN, 'x', 1)\n"
+              "setattr(ORIGIN, 'y', 2)\n")
+    assert frozen_writes_outside_init(source) == [(7, "moved"), (10, "relabel"),
+                                                  (13, None)]

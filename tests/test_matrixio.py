@@ -153,6 +153,17 @@ class TestOwnership:
         assert root_buffer(back.values) is root_buffer(back.mask)
         assert back.mask.tobytes() == m.mask.tobytes()
 
+    def test_column_block_follows_the_same_rule(self, tmp_path):
+        vals = np.array([[0.0, 2.0, 5.0], [2.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
+        columns, indices = vals[:, [0, 2]], np.array([0, 2])
+        block = ColumnBlock(columns, indices, MatrixKind.PARTIAL)
+        columns[1, 0] = indices[0] = 7
+        assert block.columns[1, 0] == 2.0 and block.indices[0] == 0
+        save(block, tmp_path / "c.w2m")
+        back = load(tmp_path / "c.w2m", expand=False)
+        assert isinstance(root_buffer(back.columns), bytes)
+        assert root_buffer(back.columns) is root_buffer(back.indices)
+
     def test_load_reads_other_nonzero_mask_bytes_as_true(self, tmp_path):
         m = DistanceMatrix.full(np.zeros((2, 2)))
         save(m, tmp_path / "m.w2m")

@@ -54,11 +54,15 @@ class TestColumnBlock:
         est = complete_nystrom(partial)
         assert partial.kind is MatrixKind.PARTIAL
         assert est.kind is MatrixKind.ESTIMATED and complete_nystrom(est) is est
-        for name in ("columns", "indices", "core", "core_vectors",
-                     "core_inverse_eigenvalues", "core_singular_values"):
-            assert getattr(est, name) is getattr(partial, name)
-        # as matrixio.load reads the estimate's file: a second eigh
-        again = ColumnBlock(partial.columns, partial.indices, MatrixKind.ESTIMATED)
+        # the estimate shares C and I with its block; only it has factors
+        assert est.columns is partial.columns and est.indices is partial.indices
+        for name in ("core_vectors", "core_inverse_eigenvalues",
+                     "core_singular_values", "effective_rank"):
+            assert getattr(partial, name) is None
+            assert getattr(est, name) is not None
+        # as matrixio.load reads the estimate's file: from copies of C and I
+        again = ColumnBlock(np.array(partial.columns), np.array(partial.indices),
+                            MatrixKind.ESTIMATED)
         assert est.matrix().values.tobytes() == again.matrix().values.tobytes()
 
     def test_estimate_of_zero_core_fails(self):
@@ -116,7 +120,7 @@ class TestNystromFactor:
         return ColumnBlock.from_matrix(DistanceMatrix.full(vals), idx)
 
     def test_one_eigh_gives_pinv_spectrum_and_rank(self):
-        block = self.noisy_block(26, [0, 3, 5, 9, 12])
+        block = complete_nystrom(self.noisy_block(26, [0, 3, 5, 9, 12]))
         vectors, inverse = block.core_vectors, block.core_inverse_eigenvalues
         oracle = svd_pinv(block.core)
         pinv = (vectors * inverse) @ vectors.T
@@ -127,7 +131,7 @@ class TestNystromFactor:
                                    rtol=1e-12)
         assert block.effective_rank == int(np.sum(sigma > 1e-10 * sigma[0]))
         dense = oracle_estimate(block)
-        est = complete_nystrom(block).matrix()
+        est = block.matrix()
         assert est.kind is MatrixKind.ESTIMATED
         np.testing.assert_allclose(est.values, dense, rtol=0,
                                    atol=1e-12 * np.abs(dense).max())
@@ -135,7 +139,7 @@ class TestNystromFactor:
     def test_truncation_sets_effective_rank(self):
         rng = np.random.default_rng(27)
         full = DistanceMatrix.full(edm_of(rng.normal(size=(20, 2))))
-        block = ColumnBlock.from_matrix(full, np.arange(8))
+        block = complete_nystrom(ColumnBlock.from_matrix(full, np.arange(8)))
         assert block.effective_rank == 4  # rank of a planar EDM
 
     def test_degenerate_core(self):
@@ -143,7 +147,7 @@ class TestNystromFactor:
             ColumnBlock(np.array([[0.0], [4.0], [9.0]]), [0], MatrixKind.ESTIMATED)
 
     def test_factors_are_read_only(self):
-        block = self.noisy_block(29, [2, 6, 11])
+        block = complete_nystrom(self.noisy_block(29, [2, 6, 11]))
         with pytest.raises(ValueError):
             block.core_vectors[0, 0] = 1.0
         with pytest.raises(ValueError):

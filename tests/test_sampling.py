@@ -47,6 +47,32 @@ class TestSamplePlan:
         with pytest.raises(InvariantViolation):
             SamplePlan(COLUMNS, [1, 1], seed=0, size=4)
 
+    def test_caller_array_stays_writable(self):
+        a = np.array([7, 2, 5], dtype=np.int64)
+        plan = SamplePlan(COLUMNS, a, 0, 10)
+        assert a.flags.writeable and not plan.indices.flags.writeable
+        a[0] = 9
+        np.testing.assert_array_equal(plan.indices, [7, 2, 5])
+
+    @pytest.mark.parametrize("obj", [
+        {"variant": "columns", "indices": [1.7, 3.2], "seed": 0, "N": 10},
+        {"variant": "columns", "indices": [1, 3], "seed": 0, "N": 10.9},
+        {"variant": "columns", "indices": [True, False], "seed": 0, "N": 10},
+        {"variant": "columns", "indices": [1, 3], "seed": 0, "N": "10"},
+        {"variant": "columns", "indices": [0], "seed": 0, "N": True},
+        {"variant": "columns", "indices": [1, 3], "seed": 1.7, "N": 10},
+        {"variant": "columns", "indices": [1, 3], "seed": "x", "N": 10},
+        {"variant": "entries", "indices": [[0.5, 2]], "seed": 0, "N": 10},
+        {"variant": "columns", "indices": [], "seed": 0, "N": 10},
+    ])
+    def test_non_integral_or_empty_plan_rejected(self, tmp_path, obj):
+        with pytest.raises(InvariantViolation):
+            SamplePlan.from_json(obj)
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(InvariantViolation):
+            load_plan(p)
+
     def test_json_round_trip(self, tmp_path):
         plan = sample_entries(12, 0.3, seed=77)
         p = tmp_path / "plan.json"

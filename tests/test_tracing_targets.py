@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wassmatrix import classify, cli, matrixio, measures
+from wassmatrix import classify, cli, matrixio, measures, nystrom
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -74,10 +74,10 @@ def test_dist_records_assembly_and_save(tmp_path, capsys, mode):
     assert tracing.nesting_errors(recorder.spans) == []
 
 
-def traced_span_names(*argv):
+def traced_span_names(*argv, recorder=None):
     """Names of the spans a traced ``cli.main(argv)`` records."""
     tracing = load_tracing()
-    recorder = tracing.Recorder()
+    recorder = recorder or tracing.Recorder()
     uninstall = tracing.install(recorder)
     try:
         assert cli.main([str(a) for a in argv]) == 0
@@ -87,16 +87,26 @@ def traced_span_names(*argv):
     return [s["name"] for s in recorder.spans]
 
 
-def test_nystrom_steps_are_traced(tmp_path, capsys):
+def test_nystrom_steps_are_traced(tmp_path, capsys, monkeypatch):
     # complete and each classify trial reach nystrom.complete_nystrom
     data = tmp_path / "data"
     assert cli.main(["synth", "--spec", "classes3:rand30", "--out", str(data)]) == 0
     assert cli.main(["dist", "--data", str(data), "--columns", "5",
                      "--out", str(tmp_path / "cols")]) == 0
+    recorder, open_spans = load_tracing().Recorder(), []
+    truncated_eigh = nystrom._truncated_eigh
+
+    def recording(*args):
+        open_spans.append([s["name"] for s in recorder.spans if s["end"] is None])
+        return truncated_eigh(*args)
+
+    monkeypatch.setattr(nystrom, "_truncated_eigh", recording)
     names = traced_span_names("complete", "--algorithm", "nystrom",
                               "--input", tmp_path / "cols.w2m",
-                              "--out", tmp_path / "est")
+                              "--out", tmp_path / "est", recorder=recorder)
     assert names.count("nystrom.complete_nystrom") == 1
+    # the one core decomposition is inside the complete_nystrom span
+    assert len(open_spans) == 1 and "nystrom.complete_nystrom" in open_spans[0]
     names = traced_span_names("classify", "--data", data, "--fractions", "0.3,1.0",
                               "--trials", 2, "--out", tmp_path / "cls")
     assert names.count("nystrom.complete_nystrom") == 4
