@@ -11,12 +11,12 @@ squared row distances.  Completion minimizes the least-squares misfit
 
 by a matrix-free Levenberg-Marquardt (LM) method with rank descent.
 
-All uses of the operator go through one sparse incidence matrix
-E in R^{N x |Omega|}, whose column alpha is e_i - e_j.  With the row
-differences P = E^T Q (row alpha is q_i - q_j):
+With the row differences P (row alpha is q_i - q_j, taken from Q by
+two row gathers), the residual and its Jacobian J = dr/dQ are
 
-    r(Q) = rowsum(P * P) - b,         As(v) = E diag(v) E^T,
-    J V  = 2 rowsum(P * E^T V),       J^T w = 2 As(w) Q = 2 E (w * P),
+    r(Q) = rowsum(P * P) - b,         J V = 2 rowsum(P * (V_i - V_j)),
+    J^T w = 2 As(w) Q,                As(v) = sum_alpha v_alpha
+                                              (e_i - e_j)(e_i - e_j)^T,
 
 so the gradient of f is J^T r.  Reading the residual off the row
 differences avoids the cancellation in ||q_i||^2 + ||q_j||^2 -
@@ -25,13 +25,23 @@ and the public ``lagrangian_value`` and ``lagrangian_gradient`` alike
 (f is their multiplier-free case), so the finite-difference test checks
 the gradient the solver runs.
 
+J is built once at each iterate the solver accepts, as explicit CSR
+arrays over the row-major entries of Q: row alpha holds 2 P_alpha at
+columns i q + k and -2 P_alpha at columns j q + k (k < q), 2q|Omega|
+values in all.  Its column indices depend only on Omega and q, so each
+LM fit builds them once.  Read as CSC, the same three arrays
+are J^T, so no transposed copy is made: a J product is one compiled
+CSR matvec and a J^T product one compiled CSC matvec
+(``scipy.sparse._sparsetools``, called directly).
+
 Each LM step solves (J^T J + mu I) delta = -J^T r by conjugate gradient
 (CG) and takes the step only when it lowers the residual; the gain ratio
-of actual to predicted decrease moves the damping mu.  Every product
-with J^T J costs one E^T and one E product, and so does the residual
-and gradient at a trial point; ``McConfig`` caps their total.  The
-objective is invariant under translations of Q, so the solver keeps
-Q^T 1 = 0 by projecting column means out of every CG vector.
+of actual to predicted decrease moves the damping mu.  One operator
+product is one CG iteration (a J and a J^T matvec) or one trial point
+(its residual, and J and the gradient there once the step is taken);
+``McConfig`` caps their total.  The objective is invariant under
+translations of Q, so the solver keeps Q^T 1 = 0 by projecting column
+means out of every CG vector.
 
 Gradient methods on a factor wider than the rank of the answer converge
 sublinearly, and LM started at the true rank can stall in a spurious
@@ -55,6 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import Diverged, UsageError
 from .matrixio import DistanceMatrix, sanitized_estimate
@@ -72,12 +83,13 @@ class McConfig:
     """Solver knobs for :func:`complete_mc`.
 
     ``max_outer_iters * _CG_STEPS`` caps the operator products of the
-    whole run: one CG iteration, or one residual and gradient at a trial
-    point, is one product (one E^T and one E product).  ``_CG_STEPS``
-    (100) also caps the CG iterations of each LM step.  The run stops
-    once the relative observed residual ||A(QQ^T) - b|| / ||b|| is at most
-    ``residual_tolerance``; ``rank_estimate`` is the width q of the
-    factor that phase (a) fits, and ``seed`` draws its start.
+    whole run: one CG iteration (one J and one J^T matvec) or one trial
+    point (its residual, and J and the gradient there if it is taken) is
+    one product.  ``_CG_STEPS`` (100) also caps the CG iterations of
+    each LM step.  The run stops once the relative observed residual
+    ||A(QQ^T) - b|| / ||b|| is at most ``residual_tolerance``;
+    ``rank_estimate`` is the width q of the factor that phase (a) fits,
+    and ``seed`` draws its start.
     """
 
     rank_estimate: int = 10
@@ -102,6 +114,7 @@ class ConvergenceReport:
     stop_reason: str
     rank: int
     underdetermined_points: int = 0
+    discarded_products: int = 0
     residual_trace: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -116,6 +129,7 @@ class ConvergenceReport:
             "stop_reason": self.stop_reason,
             "rank": self.rank,
             "underdetermined_points": self.underdetermined_points,
+            "discarded_products": self.discarded_products,
             "residual_trace": [float(v) for v in trace],
         }
 
@@ -135,11 +149,8 @@ def apply_A(X: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 
 def _incidence(ii: np.ndarray, jj: np.ndarray,
                n: int) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Incidence matrix E (N x |Omega|, column alpha = e_i - e_j) and E^T.
-
-    Both are CSR: products with the transpose view ``E.T`` (CSC) are
-    about twice as slow as with a CSR copy made once.
-    """
+    """Incidence matrix E (N x |Omega|, column alpha = e_i - e_j) and E^T,
+    both CSR."""
     m = ii.size
     et = sparse.csr_array((np.tile([1.0, -1.0], m),
                            np.column_stack([ii, jj]).ravel(),
@@ -153,50 +164,95 @@ def apply_A_adjoint(v: np.ndarray, pairs: np.ndarray, n: int) -> np.ndarray:
     return (E @ sparse.diags_array(v) @ et).toarray()
 
 
+class _Jacobian(NamedTuple):
+    """J = dr/dQ as CSR arrays over the row-major entries of Q; read as
+    CSC, the same arrays are J^T."""
+
+    indptr: np.ndarray  # 0, 2q, 4q, ...: row alpha holds 2q entries
+    indices: np.ndarray  # i q + k, then j q + k, for k < q
+    data: np.ndarray  # 2 P_alpha, then -2 P_alpha
+    shape: tuple[int, int]  # (N, q), the factor's
+
+
+def _sparsity(ii: np.ndarray, jj: np.ndarray, n: int,
+              q: int) -> tuple[np.ndarray, np.ndarray]:
+    """indptr and column indices of J at factor width q, int32 unless
+    2q|Omega| or N q reaches 2^31."""
+    m = ii.size
+    index = np.int64 if max(2 * q * m, n * q) >= 2 ** 31 else np.int32
+    columns = np.empty((m, 2, q), dtype=index)
+    k = np.arange(q)
+    np.add.outer(ii * q, k, out=columns[:, 0], casting="unsafe")
+    np.add.outer(jj * q, k, out=columns[:, 1], casting="unsafe")
+    return np.arange(0, 2 * q * m + 1, 2 * q, dtype=index), columns.reshape(-1)
+
+
+def _jacobian_at(P: np.ndarray, sparsity: tuple[np.ndarray, np.ndarray],
+                 n: int) -> _Jacobian:
+    """J at the row differences P, on the index arrays of ``_sparsity``."""
+    m, q = P.shape
+    data = np.empty((m, 2, q))
+    np.multiply(P, 2.0, out=data[:, 0])
+    np.multiply(P, -2.0, out=data[:, 1])
+    return _Jacobian(*sparsity, data.reshape(-1), (n, q))
+
+
+def _row_differences(Q: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """P with row alpha = q_i - q_j."""
+    P = np.take(Q, ii, axis=0)
+    P -= np.take(Q, jj, axis=0)
+    return P
+
+
 def _residual(P: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Observed residual A(QQ^T) - b from the row differences P = E^T Q."""
+    """Observed residual A(QQ^T) - b from the row differences P."""
     return np.einsum("ij,ij->i", P, P) - b
 
 
-def _jacobian(et: sparse.csr_array, P: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """J V = 2 rowsum(P * E^T V), the derivative of the residual along V."""
-    return 2.0 * np.einsum("ij,ij->i", P, et @ V)
+def _jacobian(J: _Jacobian, V: np.ndarray) -> np.ndarray:
+    """J V = 2 rowsum(P * (V_i - V_j)), the derivative of the residual along V."""
+    out = np.zeros(J.indptr.size - 1)
+    _sparsetools.csr_matvec(out.size, V.size, J.indptr, J.indices, J.data,
+                            V.reshape(-1), out)
+    return out
 
 
-def _gradient(E: sparse.csr_array, P: np.ndarray, r: np.ndarray,
-              work: sparse.csr_array) -> np.ndarray:
-    """J^T r = 2 * As(r) Q = (E diag(2r)) P from the row differences P = E^T Q.
+def _gradient(J: _Jacobian, w: np.ndarray) -> np.ndarray:
+    """J^T w = 2 As(w) Q, as an N x q factor.
 
-    ``work`` is a copy of E whose data this overwrites with the entries
-    +-2 r_alpha of E diag(2r).  Scaling by 2 is exact, so this gives the
-    bits of 2 E (r * P) without the (|Omega|, q) product or the 2 * pass.
+    Each entry sums its terms +-2 P_alpha,k w_alpha in the order of
+    alpha, so J^T r has the bits of 2 E (r * P) for the incidence
+    matrix E: scaling by 2 is exact.
     """
-    np.multiply(E.data, r[E.indices], out=work.data)
-    work.data *= 2.0
-    return work @ P
+    out = np.zeros(J.shape)
+    _sparsetools.csc_matvec(out.size, w.size, J.indptr, J.indices, J.data,
+                            w, out.reshape(-1))
+    return out
 
 
 def lagrangian_value(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
                      lam: np.ndarray) -> float:
-    _, et = _incidence(pairs[:, 0], pairs[:, 1], Q.shape[0])
-    r = _residual(et @ Q, b) + lam
+    r = _residual(_row_differences(Q, pairs[:, 0], pairs[:, 1]), b) + lam
     return 0.5 * float(r @ r)
 
 
 def lagrangian_gradient(Q: np.ndarray, pairs: np.ndarray, b: np.ndarray,
                         lam: np.ndarray) -> np.ndarray:
     """Analytic gradient 2 * As(r) Q of 1/2 ||A(QQ^T) - b + lam||^2."""
-    E, et = _incidence(pairs[:, 0], pairs[:, 1], Q.shape[0])
-    P = et @ Q
-    return _gradient(E, P, _residual(P, b) + lam, E.copy())
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    n, q = Q.shape
+    P = _row_differences(Q, ii, jj)
+    J = _jacobian_at(P, _sparsity(ii, jj, n, q), n)
+    return _gradient(J, _residual(P, b) + lam)
 
 
 def _centered(V: np.ndarray) -> np.ndarray:
-    return V - V.sum(axis=0) / V.shape[0]
+    """V with its column means subtracted, in place."""
+    V -= V.sum(axis=0) / V.shape[0]
+    return V
 
 
-def _cg(E: sparse.csr_array, et: sparse.csr_array, work: sparse.csr_array,
-        P: np.ndarray, g: np.ndarray, mu: float, max_iters: int,
+def _cg(J: _Jacobian, g: np.ndarray, mu: float, max_iters: int,
         rtol: float) -> tuple[np.ndarray, int]:
     """CG on (J^T J + mu I) delta = -g over centered factors.
 
@@ -206,30 +262,33 @@ def _cg(E: sparse.csr_array, et: sparse.csr_array, work: sparse.csr_array,
     """
     x = np.zeros_like(g)
     s = -g
-    d = s
     ss = float(np.vdot(s, s))
     if ss == 0.0:  # stationary point: no descent direction
         return x, 0
+    d = s.copy()
     stop = rtol * rtol * ss
     for k in range(1, max_iters + 1):
-        Ad = _centered(_gradient(E, P, _jacobian(et, P, d), work) + mu * d)
+        Ad = _gradient(J, _jacobian(J, d))
+        Ad += mu * d
+        _centered(Ad)
         curvature = float(np.vdot(d, Ad))
         if curvature <= 0.0:  # only by round-off, once mu has underflowed
             return x, k
         alpha = ss / curvature
-        x = x + alpha * d
-        s = s - alpha * Ad
+        x += alpha * d
+        s -= alpha * Ad
         ss_new = float(np.vdot(s, s))
         if ss_new <= stop:
             return x, k
-        d = s + (ss_new / ss) * d
+        d *= ss_new / ss
+        d += s
         ss = ss_new
     return x, max_iters
 
 
 class _Iterate(NamedTuple):
     Q: np.ndarray  # centered factor
-    P: np.ndarray  # row differences E^T Q
+    P: np.ndarray  # row differences, row alpha = q_i - q_j
     r: np.ndarray  # residual A(QQ^T) - b
     residual: float  # ||r|| / ||b||
 
@@ -239,8 +298,7 @@ class _Solver:
 
     def __init__(self, ii: np.ndarray, jj: np.ndarray, n: int, b: np.ndarray,
                  cfg: McConfig):
-        self.E, self.et = _incidence(ii, jj, n)
-        self.work = self.E.copy()
+        self.ii, self.jj, self.n = ii, jj, n
         self.b = b
         self.bnorm = float(np.linalg.norm(b)) or 1.0  # absolute when b = 0
         self.budget = cfg.max_outer_iters * _CG_STEPS
@@ -251,7 +309,7 @@ class _Solver:
     def _evaluate(self, Q: np.ndarray) -> _Iterate:
         """The iterate at Q; one product with the gradient taken there."""
         self.products += 1
-        P = self.et @ Q
+        P = _row_differences(Q, self.ii, self.jj)
         r = _residual(P, self.b)
         residual = float(np.linalg.norm(r)) / self.bnorm
         if not np.isfinite(residual):
@@ -272,14 +330,15 @@ class _Solver:
         mu = _DAMPING_START * float(np.linalg.norm(it.r))
         nu = 2.0
         g = None
+        sparsity = _sparsity(self.ii, self.jj, self.n, it.Q.shape[1])
         for _ in range(max_steps):
             cap = min(_CG_STEPS, self.budget - self.products - 1)
             if it.residual <= tol or cap < 1:
                 break
             if g is None:
-                g = _centered(_gradient(self.E, it.P, it.r, self.work))
-            delta, k = _cg(self.E, self.et, self.work, it.P, g, mu, cap,
-                           min(_CG_FORCING, it.residual))
+                J = _jacobian_at(it.P, sparsity, self.n)
+                g = _centered(_gradient(J, it.r))
+            delta, k = _cg(J, g, mu, cap, min(_CG_FORCING, it.residual))
             self.products += k
             self.steps += 1
             trial = self._evaluate(it.Q + delta)
@@ -289,7 +348,7 @@ class _Solver:
             actual = 0.5 * (float(it.r @ it.r) - float(trial.r @ trial.r))
             rho = actual / predicted if predicted > 0.0 else -1.0
             if rho > 0.0:
-                it, g = trial, None
+                it, g, J = trial, None, None  # free J before the next one
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 nu = 2.0
             else:
@@ -315,7 +374,9 @@ def complete_mc(d_obs: DistanceMatrix,
     otherwise.  ``underdetermined_points`` counts the points with fewer
     than ``rank`` + 1 observed off-diagonal entries: a point in R^rank
     needs rank + 1 generic distances to be pinned down, so the sample
-    does not determine those, whatever ``stop_reason`` says.  Raises
+    does not determine those, whatever ``stop_reason`` says.
+    ``discarded_products`` counts the products of ``iterations`` spent
+    on rank-descent polishes that were not kept.  Raises
     :class:`Diverged` when a residual is non-finite.
     """
     n = d_obs.size
@@ -333,16 +394,18 @@ def complete_mc(d_obs: DistanceMatrix,
     tol = cfg.residual_tolerance
     fit = solver.fit(solver.start(_centered(rng.standard_normal((n, q)) * scale)),
                      max(tol, _RANK_SWITCH_RESIDUAL), solver.budget)
-    rank = q
+    rank, discarded = q, 0
     if tol < fit.residual <= _RANK_SWITCH_RESIDUAL:
         U, S, _ = np.linalg.svd(fit.Q, full_matrices=False)
         for r in range(1, q):
             if solver.products >= solver.budget:
                 break
+            spent = solver.products
             polished = solver.fit(solver.start(U[:, :r] * S[:r]), tol, _POLISH_STEPS)
             if polished.residual <= tol:
                 fit, rank = polished, r
                 break
+            discarded += solver.products - spent
         else:
             fit = solver.fit(fit, tol, solver.budget)
 
@@ -356,6 +419,7 @@ def complete_mc(d_obs: DistanceMatrix,
         rank=rank,
         underdetermined_points=int(np.count_nonzero(
             np.bincount(np.concatenate([ii, jj]), minlength=n) < rank + 1)),
+        discarded_products=discarded,
         residual_trace=solver.trace,
     )
     return sanitized_estimate(sq[:, None] + sq[None, :] - 2.0 * (Q @ Q.T)), report

@@ -397,6 +397,7 @@ class TestComplete:
         report = json.loads((tmp_path / "est.report.json").read_text())
         assert report["stop_reason"] == "converged"
         assert report["rank"] == 2
+        assert 0 < report["discarded_products"] <= report["iterations"]
         assert relative_error(load(tmp_path / "est.w2m"),
                               load(tmp_path / "full.w2m")) <= 1e-6
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from wassmatrix import DistanceMatrix, McConfig, apply_A, complete_mc
 from wassmatrix import (derive_seed, sample_entries, synth_translation_family,
@@ -41,6 +42,19 @@ def random_instance(rng, n=8, q=3, n_pairs=10):
     lam = rng.normal(size=n_pairs)
     Q = rng.normal(size=(n, q))
     return Q, pairs, b, lam
+
+
+def jacobian(et, P):
+    """J at the row differences P, on the pairs of the incidence matrix
+    ``et`` = E^T (row alpha holds +1 at i, then -1 at j)."""
+    n = et.shape[1]
+    ii, jj = et.indices.reshape(-1, 2).T
+    return mc._jacobian_at(P, mc._sparsity(ii, jj, n, P.shape[1]), n)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestApplyA:
@@ -107,18 +121,21 @@ class TestIncidenceRoute:
         P = et @ Q
         r = mc._residual(P, b) + lam
         want = 2.0 * adjoint_oracle(r, pairs, n) @ Q
-        np.testing.assert_allclose(mc._gradient(E, P, r, E.copy()), want,
+        np.testing.assert_allclose(mc._gradient(jacobian(et, P), r), want,
                                    rtol=0, atol=1e-12 * np.abs(want).max())
 
-    def test_gradient_has_the_bits_of_the_scaled_product(self, n):
-        # E diag(2r) P only moves exact factors of 2 and signs, so it
-        # gives the bits of 2 E (r * P), with a work copy reused per step
+    def test_row_differences_have_the_bits_of_the_incidence_product(self, n):
         Q, pairs, b, lam, E, et = self.instance(n)
-        work = E.copy()
+        assert_same_bits(mc._row_differences(Q, pairs[:, 0], pairs[:, 1]), et @ Q)
+
+    def test_gradient_has_the_bits_of_the_scaled_product(self, n):
+        # J^T r only moves exact factors of 2 and signs, and sums in the
+        # order of alpha, so it gives the bits of 2 E (r * P)
+        Q, pairs, b, lam, E, et = self.instance(n)
         for _ in range(3):
             P = et @ Q
             r = mc._residual(P, b) + lam
-            g = mc._gradient(E, P, r, work)
+            g = mc._gradient(jacobian(et, P), r)
             np.testing.assert_array_equal(g, 2.0 * (E @ (r[:, None] * P)))
             Q = Q - 1e-3 * g
 
@@ -149,7 +166,7 @@ class TestJacobian:
         for seed in range(10):
             rng, Q, b, E, et = self.instance(seed)
             V = rng.normal(size=Q.shape)
-            got = mc._jacobian(et, et @ Q, V)
+            got = mc._jacobian(jacobian(et, et @ Q), V)
             fd = (mc._residual(et @ (Q + h * V), b)
                   - mc._residual(et @ (Q - h * V), b)) / (2 * h)
             assert np.linalg.norm(fd - got) <= 1e-7 * np.linalg.norm(got)
@@ -160,7 +177,7 @@ class TestJacobian:
         for seed in range(10):
             rng, Q, b, E, et = self.instance(seed)
             w = rng.normal(size=b.size)
-            got = mc._gradient(E, et @ Q, w, E.copy())
+            got = mc._gradient(jacobian(et, et @ Q), w)
             fd = np.zeros_like(Q)
             for idx in np.ndindex(*Q.shape):
                 step = np.zeros_like(Q)
@@ -175,9 +192,92 @@ class TestJacobian:
             P = et @ Q
             V = rng.normal(size=Q.shape)
             w = rng.normal(size=b.size)
-            lhs = float(mc._jacobian(et, P, V) @ w)
-            rhs = float(np.vdot(V, mc._gradient(E, P, w, E.copy())))
+            lhs = float(mc._jacobian(jacobian(et, P), V) @ w)
+            rhs = float(np.vdot(V, mc._gradient(jacobian(et, P), w)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 3, 10])
+class TestExplicitJacobian:
+    """The J arrays of ``_jacobian_at`` against the dense operator routes,
+    on a sample where the last point lies in no observed pair."""
+
+    n = 12
+
+    def instance(self, q):
+        rng = np.random.default_rng(100 + q)
+        iu, ju = np.triu_indices(self.n - 1, 1)
+        sel = np.sort(rng.choice(iu.size, 30, replace=False))
+        pairs = np.column_stack([iu[sel], ju[sel]])
+        Q = rng.normal(size=(self.n, q))
+        ii, jj = pairs[:, 0], pairs[:, 1]
+        J = mc._jacobian_at(mc._row_differences(Q, ii, jj),
+                            mc._sparsity(ii, jj, self.n, q), self.n)
+        return rng, pairs, Q, J
+
+    def test_jacobian_matches_central_differences_of_apply_A(self, q):
+        rng, pairs, Q, J = self.instance(q)
+        h = 1e-6
+        for _ in range(5):
+            V = rng.normal(size=Q.shape)
+            plus, minus = Q + h * V, Q - h * V
+            fd = (apply_A(plus @ plus.T, pairs)
+                  - apply_A(minus @ minus.T, pairs)) / (2 * h)
+            got = mc._jacobian(J, V)
+            assert np.linalg.norm(fd - got) <= 1e-7 * np.linalg.norm(got)
+            V[-1] = rng.normal(size=q)  # the unobserved point moves nothing
+            np.testing.assert_array_equal(mc._jacobian(J, V), got)
+
+    def test_adjoint_matches_dense_apply_A_adjoint(self, q):
+        rng, pairs, Q, J = self.instance(q)
+        w = rng.normal(size=len(pairs))
+        want = 2.0 * apply_A_adjoint(w, pairs, self.n) @ Q
+        got = mc._gradient(J, w)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        np.testing.assert_array_equal(got[-1], 0.0)
+
+    def test_kernels_have_the_bits_of_scipy_sparse_products(self, q):
+        # the kernels called directly give the bits of scipy's public
+        # products, so a scipy release that moves them fails here
+        rng, pairs, Q, J = self.instance(q)
+        A = sparse.csr_array((J.data, J.indices, J.indptr),
+                             shape=(len(pairs), Q.size))
+        V = rng.normal(size=Q.shape)
+        w = rng.normal(size=len(pairs))
+        assert_same_bits(mc._jacobian(J, V), A @ V.ravel())
+        assert_same_bits(mc._gradient(J, w).ravel(), A.T @ w)
+
+    def test_jacobian_holds_2q_entries_per_pair(self, q):
+        rng, pairs, Q, J = self.instance(q)
+        nnz = 2 * q * len(pairs)
+        assert J.data.dtype == np.float64 and J.data.shape == (nnz,)
+        assert J.indices.dtype == np.int32 and J.indices.shape == (nnz,)
+        assert J.indptr.dtype == np.int32 and J.indptr.shape == (len(pairs) + 1,)
+        # no transposed or dense copy besides the three arrays
+        assert sum(a.nbytes for a in J if isinstance(a, np.ndarray)) == (
+            12 * nnz + 4 * (len(pairs) + 1))
+
+    def test_kernels_take_int64_indices(self, q):
+        rng, pairs, Q, J = self.instance(q)
+        wide = J._replace(indptr=J.indptr.astype(np.int64),
+                          indices=J.indices.astype(np.int64))
+        V = rng.normal(size=Q.shape)
+        w = rng.normal(size=len(pairs))
+        assert_same_bits(mc._jacobian(wide, V), mc._jacobian(J, V))
+        assert_same_bits(mc._gradient(wide, w), mc._gradient(J, w))
+
+
+def test_sparsity_widens_indices_at_2_to_the_31():
+    ii, jj = np.array([0, 1]), np.array([2, 3])
+    # N q = 2^31 - 1 still fits int32 column indices; 2^31 does not
+    cases = ((2 ** 31 - 1, 1, np.int32, [0, 2, 1, 3]),
+             (2 ** 30, 2, np.int64, [0, 1, 4, 5, 2, 3, 6, 7]))
+    for n, q, index, columns in cases:
+        indptr, indices = mc._sparsity(ii, jj, n, q)
+        assert indptr.dtype == indices.dtype == index
+        assert indptr.tolist() == [0, 2 * q, 4 * q]
+        assert indices.tolist() == columns
 
 
 class TestCg:
@@ -189,7 +289,7 @@ class TestCg:
         Q = mc._centered(Q)
         E, et = mc._incidence(pairs[:, 0], pairs[:, 1], n)
         P = et @ Q
-        g = mc._centered(mc._gradient(E, P, mc._residual(P, b), E.copy()))
+        g = mc._centered(mc._gradient(jacobian(et, P), mc._residual(P, b)))
         return Q, E, et, P, g
 
     def dense_normal_matrix(self, E, et, P, shape):
@@ -198,7 +298,8 @@ class TestCg:
         for idx in np.ndindex(*shape):
             V = np.zeros(shape)
             V[idx] = 1.0
-            cols.append(mc._gradient(E, P, mc._jacobian(et, P, V), E.copy()).ravel())
+            cols.append(mc._gradient(jacobian(et, P),
+                                     mc._jacobian(jacobian(et, P), V)).ravel())
         return np.column_stack(cols)
 
     def test_matches_dense_solve(self):
@@ -211,7 +312,7 @@ class TestCg:
             A = proj @ (self.dense_normal_matrix(E, et, P, Q.shape)
                         + mu * np.eye(n * q)) @ proj
             want = np.linalg.lstsq(A, -g.ravel(), rcond=None)[0]
-            got, k = mc._cg(E, et, E.copy(), P, g, mu, 200, 1e-13)
+            got, k = mc._cg(jacobian(et, P), g, mu, 200, 1e-13)
             assert k < 200
             np.testing.assert_allclose(got.ravel(), want, rtol=0,
                                        atol=1e-9 * np.abs(want).max())
@@ -219,19 +320,19 @@ class TestCg:
 
     def test_iteration_cap(self):
         Q, E, et, P, g = self.instance()
-        _, k = mc._cg(E, et, E.copy(), P, g, 1e-3, 3, 0.0)
+        _, k = mc._cg(jacobian(et, P), g, 1e-3, 3, 0.0)
         assert k == 3
 
     def test_large_damping_gives_a_gradient_step(self):
         # (J^T J + mu I)^{-1} -> I / mu as mu grows
         Q, E, et, P, g = self.instance()
         mu = 1e12
-        got, _ = mc._cg(E, et, E.copy(), P, g, mu, 50, 1e-12)
+        got, _ = mc._cg(jacobian(et, P), g, mu, 50, 1e-12)
         np.testing.assert_allclose(got, -g / mu, rtol=1e-6)
 
     def test_stationary_point_takes_no_step(self):
         Q, E, et, P, g = self.instance()
-        got, k = mc._cg(E, et, E.copy(), P, np.zeros_like(g), 1.0, 10, 0.1)
+        got, k = mc._cg(jacobian(et, P), np.zeros_like(g), 1.0, 10, 0.1)
         assert k == 0
         np.testing.assert_array_equal(got, 0.0)
 
@@ -402,6 +503,22 @@ class TestRankDescent:
         _, report = complete_mc(d_obs, McConfig(rank_estimate=5, seed=4))
         assert report.stop_reason == "converged"
         assert report.rank == 2
+
+    def test_discarded_polishes_are_counted(self):
+        # the planar fixture above: the r = 1 polish fails and is discarded
+        rng = np.random.default_rng(16)
+        shifts = rng.uniform(0, 10, size=(80, 2))
+        d_obs = observed(edm_of(shifts), rng, 0.2)
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=5, seed=4))
+        assert report.rank == 2
+        assert 0 < report.discarded_products <= report.iterations
+        assert report.to_json()["discarded_products"] == report.discarded_products
+        # a tolerance phase (a) reaches skips rank descent
+        _, report = complete_mc(d_obs, McConfig(rank_estimate=5, seed=4,
+                                                residual_tolerance=1e-2))
+        assert report.stop_reason == "converged"
+        assert report.rank == 5
+        assert report.discarded_products == 0
 
     def test_points_in_r3_give_rank_3(self):
         # criterion 04's fixture: 100 points in R^3, 30% of entries
